@@ -14,17 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional
 
-from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag, StatKind,
-                   TruncationSchedule, Verdict, _growth_window, _to_float,
-                   combine_conjunctive, judge_trace)
+from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceTag,
+                   StatKind, TruncationSchedule, Verdict, _growth_window, _to_float,
+                   combine_conjunctive, judge_trace, running_sums)
 from .duals import beta_dual_check
 from .errors import UnsupportedClassError, UnsupportedRowError
 from .operators import (TriangleKind, TriangleOperator, WeightPair,
-                        cesaro_matrix, differentiated_triangle, euler_matrix,
-                        integrated_triangle, matrix_product, riesz_matrix,
-                        taylor_matrix)
+                        classical_matrix, differentiated_triangle,
+                        integrated_triangle, matrix_product)
 from .spaces import SpaceName
 
 
@@ -69,20 +68,17 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
     exact = A.exact and wp.exact
     zero: Scalar = Fraction(0) if exact else 0.0
     extent = A.row_support
-    row_prefixes: dict[int, dict[int, Scalar]] = {}
+    row_sums: dict[int, Callable[[int], Scalar]] = {}
 
-    def pref(n: int, m: int) -> Scalar:
-        cache = row_prefixes.setdefault(n, {0: zero})
-        if m not in cache:
-            lo = m
-            while lo not in cache:
-                lo -= 1
-            acc = cache[lo]
-            for j in range(lo + 1, m + 1):
-                term = A.entry(n, j) / j if integrated else j * A.entry(n, j)
-                acc = acc + term
-                cache[j] = acc
-        return cache[m]
+    def row_prefix(n: int) -> Callable[[int], Scalar]:
+        pref = row_sums.get(n)
+        if pref is None:
+            if integrated:
+                pref = running_sums(lambda j: A.entry(n, j) / j, zero)
+            else:
+                pref = running_sums(lambda j: j * A.entry(n, j), zero)
+            row_sums[n] = pref
+        return pref
 
     def rule(n: int, k: int) -> Scalar:
         J = extent(n)
@@ -94,7 +90,8 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
             lead = k * A.entry(n, k) / (wp.u_at(k) * wp.w_at(k))
         if k == J:
             return lead
-        return lead + wp.recip_uw_diff(k) * (pref(n, J) - pref(n, k))
+        pref = row_prefix(n)
+        return lead + wp.recip_uw_diff(k) * (pref(J) - pref(k))
 
     label = "reduce-source-int-bv" if integrated else "reduce-source-d-bv"
     return TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE,
@@ -147,7 +144,7 @@ def _scan_scale(values) -> float:
 def check_condition(cid, A: TriangleOperator, sched: TruncationSchedule, *,
                     zero_limit: bool = False) -> ConditionVerdict:
     """Evaluate one battery condition on square truncations of ``A``."""
-    cid = ConditionId(cid) if not isinstance(cid, ConditionId) else cid
+    cid = ConditionId(cid)
     if cid is ConditionId.C11:
         return _check_entry_sup(A, sched)
     if cid is ConditionId.C12:
@@ -563,27 +560,18 @@ class CompositeTarget:
     is checked by composing the generator on the target side and asking for
     boundedness."""
 
-    family: str  # euler | riesz | cesaro | taylor
+    family: str  # a MATRIX_FAMILIES name: euler | riesz | cesaro | taylor
     param: object = None
 
     def describe(self) -> str:
-        if self.family in ("cesaro",):
+        if self.param is None:
             return f"{self.family}-bounded"
-        if self.family == "riesz":
-            label = getattr(self.param, "label", "t")
-            return f"riesz({label})-bounded"
+        if isinstance(self.param, LazySequence):
+            return f"{self.family}({self.param.label})-bounded"
         return f"{self.family}({self.param})-bounded"
 
     def generator(self) -> TriangleOperator:
-        if self.family == "euler":
-            return euler_matrix(self.param)
-        if self.family == "cesaro":
-            return cesaro_matrix()
-        if self.family == "riesz":
-            return riesz_matrix(self.param)
-        if self.family == "taylor":
-            return taylor_matrix(self.param)
-        raise ValueError(f"unknown composite target family {self.family!r}")
+        return classical_matrix(self.family, self.param)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +589,8 @@ class ClassReport:
     overall: Verdict
     beta_prerequisite: Optional[ConditionVerdict] = None
     notes: list[str] = field(default_factory=list)
+    # the matrix the conditions ran on; not part of the rendered report
+    condition_matrix: Optional[TriangleOperator] = None
 
     def to_dict(self) -> dict:
         conds = []
@@ -650,11 +640,10 @@ def _beta_prerequisite(A: TriangleOperator, wp: WeightPair, space: SpaceName,
             growth_steps=sched.growth_steps)
         verdict = beta_dual_check(space, seq, wp, row_sched)
         statuses[n] = verdict.status
-        if worst is None or _rank(verdict.status) < _rank(worst.status):
+        if worst is None or _VERDICT_RANK[verdict.status] < _VERDICT_RANK[worst.status]:
             worst = verdict
             worst_row = n
     combined = combine_conjunctive(statuses.values())
-    assert worst is not None
     return ConditionVerdict(
         status=combined,
         trace=worst.trace,
@@ -665,10 +654,6 @@ def _beta_prerequisite(A: TriangleOperator, wp: WeightPair, space: SpaceName,
             "statuses": {str(n): s.value for n, s in statuses.items()},
         },
     )
-
-
-def _rank(status: Verdict) -> int:
-    return {Verdict.DIVERGENCE: 0, Verdict.INCONCLUSIVE: 1, Verdict.HOLDS: 2}[status]
 
 
 def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] = None,
@@ -688,6 +673,8 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
     """
     if sched is None:
         sched = TruncationSchedule()
+    if beta_row_limit < 1:
+        raise ValueError(f"the beta row limit must be at least 1, got {beta_row_limit}")
     src = _endpoint_name(source)
     notes: list[str] = []
 
@@ -741,7 +728,8 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
     overall = combine_conjunctive(statuses)
     return ClassReport(source=src, target=tgt_name, table=recipe.table,
                        transform=recipe.transform, conditions=results,
-                       overall=overall, beta_prerequisite=prerequisite, notes=notes)
+                       overall=overall, beta_prerequisite=prerequisite, notes=notes,
+                       condition_matrix=matrix_for_conditions)
 
 
 def _pick_table(src: str, tgt: str) -> int:

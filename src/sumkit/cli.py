@@ -26,7 +26,7 @@ from .duals import (CORRECTION_NOTES, alpha_dual_check, beta_dual_check,
 from .classes import (CompositeTarget, characterize,
                       verify_reduction_roundtrip)
 from .errors import SumkitError, SpecParseError
-from .minilang import (parse_matrix_spec, parse_schedule_spec,
+from .minilang import (parse_family_spec, parse_matrix_spec, parse_schedule_spec,
                        parse_sequence_spec, parse_weight_spec)
 from .operators import (WeightPair, integrated_inverse, differentiated_inverse,
                         apply_triangle, invert_triangle, basis_column,
@@ -47,6 +47,10 @@ _EXIT_CODES = {
 }
 
 _CLASSICAL_TARGETS = {"l1", "linf", "c", "c0", "bs", "cs", "c0s", "int-bv", "d-bv"}
+# matrix families whose bounded domain is a composite --target
+_COMPOSITE_FAMILIES = {"cesaro", "euler", "taylor", "riesz"}
+# integer flags that count from 1 wherever a command has them
+_COUNT_FLAGS = ("n", "k", "row_bound")
 
 
 @dataclass
@@ -210,18 +214,18 @@ def _parse_target(text: str):
     body = text.strip().lower()
     if body in _CLASSICAL_TARGETS:
         return body
-    if body == "cesaro":
-        return CompositeTarget("cesaro")
-    if body.startswith("euler:"):
-        from fractions import Fraction
-        return CompositeTarget("euler", Fraction(body.split(":", 1)[1]))
-    if body.startswith("taylor:"):
-        from fractions import Fraction
-        return CompositeTarget("taylor", Fraction(body.split(":", 1)[1]))
-    if body.startswith("riesz:"):
-        weights, _ = parse_weight_spec(body.split(":", 1)[1])
-        return CompositeTarget("riesz", weights)
-    raise SpecParseError(f"unknown target space {text!r}")
+    family = parse_family_spec(body)
+    if family is None or family[0] not in _COMPOSITE_FAMILIES:
+        raise SpecParseError(f"unknown target space {text!r}")
+    name, param, _ = family
+    return CompositeTarget(name, param)
+
+
+def _check_counts(args) -> None:
+    for flag in _COUNT_FLAGS:
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise SpecParseError(f"--{flag.replace('_', '-')} counts from 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +308,6 @@ def _cmd_basis(args, sched) -> _CommandResult:
     mode = args.mode
     wp, wcanon = _weights(args, mode)
     space = SpaceName(args.space)
-    if args.k < 1:
-        raise SpecParseError("--k counts from 1")
     col = basis_column(space, wp, args.k)
     values = [col.at(n) for n in range(1, args.n + 1)]
     warnings = []
@@ -373,10 +375,6 @@ def _cmd_class_check(args, sched) -> _CommandResult:
         "conditions": [cid.value for cid, _, _ in report.conditions],
         "notes": [CORRECTION_NOTES["kernel-orientation"]],
     }
-    from .classes import _TRANSFORMS
-    matrix_for_csv = None
-    if args.matrix_csv:
-        matrix_for_csv = _TRANSFORMS[report.transform](op, wp)
     inputs = {"matrix": matrix_canon, "source": source,
               "target": args.target.strip().lower(), **wcanon}
     if args.table is not None:
@@ -388,7 +386,7 @@ def _cmd_class_check(args, sched) -> _CommandResult:
         method=method,
         warnings=warnings + list(report.notes),
         traces=traces,
-        matrix_for_csv=matrix_for_csv,
+        matrix_for_csv=report.condition_matrix,
     )
 
 
@@ -493,15 +491,10 @@ def run(argv=None, out=None) -> int:
         return 1 if code not in (0,) else 0
 
     try:
+        _check_counts(args)
         sched = _resolve_schedule(args)
         result = _DISPATCH[args.command](args, sched)
-    except SpecParseError as exc:
-        print(f"sumkit: {exc}", file=sys.stderr)
-        return 1
-    except SumkitError as exc:
-        print(f"sumkit: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (SumkitError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"sumkit: {exc}", file=sys.stderr)
         return 1
 

@@ -102,10 +102,6 @@ class LazySequence:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_function(cls, fn, *, support=None, exact=True, label="") -> "LazySequence":
-        return cls(fn, support=support, exact=exact, label=label)
-
-    @classmethod
     def from_terms(cls, terms: Iterable, *, exact: bool = True, label: str = "") -> "LazySequence":
         """Finite leading terms, zero tail; support is the term count."""
         if exact:
@@ -187,6 +183,22 @@ def geometric(r, *, exact: bool = True) -> LazySequence:
         return LazySequence(lambda k: ratio ** k, label=f"geometric:{ratio}")
     ratio = float(r)
     return LazySequence(lambda k: ratio ** k, exact=False, label=f"geometric:{ratio}")
+
+
+def running_sums(term: Callable[[int], Scalar], zero: Scalar) -> Callable[[int], Scalar]:
+    """``m -> zero + term(1) + ... + term(m)`` for m >= 0.
+
+    Each prefix is summed once, left to right, and kept, so a run of calls
+    costs one ``term`` evaluation per new index whatever their order.
+    """
+    sums = [zero]
+
+    def prefix(m: int) -> Scalar:
+        while len(sums) <= m:
+            sums.append(sums[-1] + term(len(sums)))
+        return sums[m]
+
+    return prefix
 
 
 def partial_sum(x: LazySequence, n: int) -> Scalar:

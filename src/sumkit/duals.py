@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag, StatKind,
                    TruncationSchedule, combine_conjunctive, judge_trace,
-                   space_evidence)
+                   running_sums, space_evidence)
 from .operators import TriangleKind, TriangleOperator, WeightPair
 from .spaces import SpaceName, domain_space, embed_from_l1
 
@@ -47,26 +47,9 @@ CORRECTION_NOTES = {
 }
 
 
-def _prefix_factory(term, zero):
-    cache: dict[int, Scalar] = {0: zero}
-
-    def pref(m: int) -> Scalar:
-        if m not in cache:
-            lo = m
-            while lo not in cache:
-                lo -= 1
-            acc = cache[lo]
-            for j in range(lo + 1, m + 1):
-                acc = acc + term(j)
-                cache[j] = acc
-        return cache[m]
-
-    return pref
-
-
 def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperator:
     """The lower-triangular kernel matrix for the requested dual question."""
-    kind = DualMatrixKind(kind) if not isinstance(kind, DualMatrixKind) else kind
+    kind = DualMatrixKind(kind)
     exact = a.exact and wp.exact
     zero: Scalar = Fraction(0) if exact else 0.0
 
@@ -88,9 +71,9 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
 
     integrated = kind is DualMatrixKind.BETA_INT_BV
     if integrated:
-        pref = _prefix_factory(lambda j: a.at(j) / j, zero)
+        pref = running_sums(lambda j: a.at(j) / j, zero)
     else:
-        pref = _prefix_factory(lambda j: j * a.at(j), zero)
+        pref = running_sums(lambda j: j * a.at(j), zero)
 
     def rule(n: int, k: int) -> Scalar:
         if k > n:
@@ -113,14 +96,12 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
 
 
 def _alpha_kind(space) -> DualMatrixKind:
-    name = SpaceName(space) if not isinstance(space, SpaceName) else space
-    return (DualMatrixKind.ALPHA_INT_BV if name is SpaceName.INT_BV
+    return (DualMatrixKind.ALPHA_INT_BV if SpaceName(space) is SpaceName.INT_BV
             else DualMatrixKind.ALPHA_D_BV)
 
 
 def _beta_kind(space) -> DualMatrixKind:
-    name = SpaceName(space) if not isinstance(space, SpaceName) else space
-    return (DualMatrixKind.BETA_INT_BV if name is SpaceName.INT_BV
+    return (DualMatrixKind.BETA_INT_BV if SpaceName(space) is SpaceName.INT_BV
             else DualMatrixKind.BETA_D_BV)
 
 
@@ -241,7 +222,7 @@ def pairing_identity_check(a: LazySequence, y: LazySequence, wp: WeightPair,
     The two sides are computed along independent code paths and must agree
     exactly in exact mode.
     """
-    name = SpaceName(space) if not isinstance(space, SpaceName) else space
+    name = SpaceName(space)
     S = domain_space(name, wp)
     x = embed_from_l1(S, y)
     lhs = x.zero()

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import LazySequence, TruncationSchedule, alternating, harmonic, ones, zeros
+from .core import (LazySequence, TruncationSchedule, alternating, geometric, harmonic,
+                   ones, powers, zeros)
 from .errors import SpecParseError
-from .operators import (TriangleKind, TriangleOperator, cesaro_matrix,
-                        difference_matrix, euler_matrix, identity_matrix,
-                        riesz_matrix, taylor_matrix)
+from .operators import (MATRIX_FAMILIES, TriangleKind, TriangleOperator,
+                        classical_matrix)
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()+\-*/^]))")
@@ -151,12 +151,20 @@ class _ExprParser:
 
 
 def compile_arithmetic(text: str, variables: Sequence[str] = ("n",)) -> Callable[..., Fraction]:
-    """Compile an arithmetic expression to a function of keyword args."""
+    """Compile an arithmetic expression to a function of keyword args.
+
+    A division by zero names the expression and the arguments it hit.
+    """
     parser = _ExprParser(text, variables)
     fn = parser.parse()
 
     def call(**env) -> Fraction:
-        return fn(env)
+        try:
+            return fn(env)
+        except ZeroDivisionError:
+            at = ", ".join(f"{name}={value}" for name, value in env.items())
+            raise ZeroDivisionError(
+                f"expression {text!r} divides by zero at {at}") from None
 
     return call
 
@@ -201,12 +209,11 @@ def _preset_sequence(text: str) -> Optional[tuple[LazySequence, str]]:
             exponent = int(p)
         except ValueError as exc:
             raise SpecParseError(f"power spec needs an integer exponent, got {p!r}") from exc
-        rule = lambda n: Fraction(n) ** exponent
-        return LazySequence(rule, label=f"power:{exponent}"), f"power:{exponent}"
+        seq = powers(exponent)
+        return seq, seq.label
     if body.startswith("geometric:"):
-        r = _parse_rational(body.split(":", 1)[1], "geometric spec")
-        return (LazySequence(lambda n: r ** n, label=f"geometric:{r}"),
-                f"geometric:{_fmt(r)}")
+        seq = geometric(_parse_rational(body.split(":", 1)[1], "geometric spec"))
+        return seq, seq.label
     if body.startswith("expr:"):
         src = body.split(":", 1)[1]
         fn = compile_arithmetic(src, variables=("n",))
@@ -215,19 +222,37 @@ def _preset_sequence(text: str) -> Optional[tuple[LazySequence, str]]:
     return None
 
 
-def _explicit_terms(text: str, context: str) -> tuple[list[Fraction], Optional[str]]:
-    body = text.strip()
-    tail_src = None
-    if ";" in body:
-        body, directive = body.split(";", 1)
-        directive = directive.strip()
-        if not directive.startswith("tail="):
-            raise SpecParseError(f"unknown directive {directive!r} in {context}")
-        tail_src = directive[len("tail="):]
+def _explicit_spec(text: str, context: str,
+                   default_tail: Callable[[list[Fraction]], Fraction]
+                   ) -> tuple[LazySequence, str]:
+    """An explicit comma list with an optional ``;tail=<expr>``; without
+    one, every term past the list is ``default_tail(terms)``, and a zero
+    fill makes the list length the support."""
+    body, has_directive, directive = text.strip().partition(";")
+    directive = directive.strip()
+    if has_directive and not directive.startswith("tail="):
+        raise SpecParseError(f"unknown directive {directive!r} in {context}")
     terms = [_parse_rational(piece, context) for piece in body.split(",") if piece.strip() != ""]
     if not terms:
         raise SpecParseError(f"empty term list in {context}")
-    return terms, tail_src
+    head = len(terms)
+    canon = ",".join(_fmt(t) for t in terms)
+    support = None
+    if has_directive:
+        tail_src = directive[len("tail="):]
+        tail_fn = compile_arithmetic(tail_src, variables=("n",))
+        canon += ";tail=" + re.sub(r"\s+", "", tail_src)
+        tail = lambda n: tail_fn(n=Fraction(n))
+    else:
+        fill = default_tail(terms)
+        tail = lambda n: fill
+        if fill == 0:
+            support = head
+
+    def rule(n: int) -> Fraction:
+        return terms[n - 1] if n <= head else tail(n)
+
+    return LazySequence(rule, support=support, label=canon), canon
 
 
 def parse_sequence_spec(text: str) -> tuple[LazySequence, str]:
@@ -236,21 +261,7 @@ def parse_sequence_spec(text: str) -> tuple[LazySequence, str]:
     preset = _preset_sequence(text)
     if preset is not None:
         return preset
-    terms, tail_src = _explicit_terms(text, "sequence spec")
-    head = len(terms)
-    canon = ",".join(_fmt(t) for t in terms)
-    if tail_src is None:
-        seq = LazySequence.from_terms(terms)
-        return seq, canon
-    tail_fn = compile_arithmetic(tail_src, variables=("n",))
-    canon += ";tail=" + re.sub(r"\s+", "", tail_src)
-
-    def rule(n: int) -> Fraction:
-        if n <= head:
-            return terms[n - 1]
-        return tail_fn(n=Fraction(n))
-
-    return LazySequence(rule, label=canon), canon
+    return _explicit_spec(text, "sequence spec", lambda terms: Fraction(0))
 
 
 def parse_weight_spec(text: str) -> tuple[LazySequence, str]:
@@ -259,25 +270,7 @@ def parse_weight_spec(text: str) -> tuple[LazySequence, str]:
     preset = _preset_sequence(text)
     if preset is not None:
         return preset
-    terms, tail_src = _explicit_terms(text, "weight spec")
-    head = len(terms)
-    if tail_src is None:
-        last = terms[-1]
-        canon = ",".join(_fmt(t) for t in terms)
-
-        def rule(n: int) -> Fraction:
-            return terms[n - 1] if n <= head else last
-
-        return LazySequence(rule, label=canon), canon
-    tail_fn = compile_arithmetic(tail_src, variables=("n",))
-    canon = ",".join(_fmt(t) for t in terms) + ";tail=" + re.sub(r"\s+", "", tail_src)
-
-    def rule(n: int) -> Fraction:
-        if n <= head:
-            return terms[n - 1]
-        return tail_fn(n=Fraction(n))
-
-    return LazySequence(rule, label=canon), canon
+    return _explicit_spec(text, "weight spec", lambda terms: terms[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -292,31 +285,40 @@ class MatrixSpec:
     notes: list[str] = field(default_factory=list)
 
 
+def parse_family_spec(text: str) -> Optional[tuple[str, object, str]]:
+    """A classical-family spec: the bare name of a ``MATRIX_FAMILIES``
+    entry without a parameter (``cesaro``), or ``<name>:<r>`` resp.
+    ``<name>:<weight spec>`` for one with a rational resp. weights
+    parameter (``euler:1/2``, ``riesz:harmonic``).  Returns the family
+    name, its parameter and the canonical spec, or None when ``text``
+    names no family in that form."""
+    name, has_param, arg = text.strip().partition(":")
+    family = MATRIX_FAMILIES.get(name)
+    if family is None or bool(has_param) != (family.param is not None):
+        return None
+    if family.param == "rational":
+        r = _parse_rational(arg, f"{name} spec")
+        return name, r, f"{name}:{_fmt(r)}"
+    if family.param == "weights":
+        weights, canon = parse_weight_spec(arg)
+        return name, weights, f"{name}:{canon}"
+    return name, None, name
+
+
 def parse_matrix_spec(text: str, *, full: bool = False) -> MatrixSpec:
-    """A matrix spec: ``identity``, ``cesaro``, ``difference``,
-    ``euler:<r>``, ``taylor:<r>``, ``riesz:<weight spec>``,
+    """A matrix spec: a classical family (see ``parse_family_spec``),
     ``expr:<e>`` in n,k (masked to the lower triangle unless ``full``),
     or ``csv:<path>`` with one matrix row per line."""
     body = text.strip()
-    if body == "identity":
-        return MatrixSpec(identity_matrix(), "identity")
-    if body == "cesaro":
-        return MatrixSpec(cesaro_matrix(), "cesaro")
-    if body == "difference":
-        return MatrixSpec(difference_matrix(), "difference")
-    if body.startswith("euler:"):
-        r = _parse_rational(body.split(":", 1)[1], "euler spec")
-        return MatrixSpec(euler_matrix(r), f"euler:{_fmt(r)}")
-    if body.startswith("taylor:"):
-        r = _parse_rational(body.split(":", 1)[1], "taylor spec")
-        spec = MatrixSpec(taylor_matrix(r), f"taylor:{_fmt(r)}")
-        spec.notes.append("taylor rows are infinite; row-bounded operations "
-                          "need an explicit bound")
-        return spec
-    if body.startswith("riesz:"):
-        wtext = body.split(":", 1)[1]
-        weights, canon = parse_weight_spec(wtext)
-        return MatrixSpec(riesz_matrix(weights), f"riesz:{canon}")
+    family = parse_family_spec(body)
+    if family is not None:
+        name, param, canon = family
+        op = classical_matrix(name, param)
+        notes = []
+        if op.row_support is None:
+            notes.append(f"{name} rows are infinite; row-bounded operations "
+                         "need an explicit bound")
+        return MatrixSpec(op, canon, notes)
     if body.startswith("expr:"):
         src = body.split(":", 1)[1]
         fn = compile_arithmetic(src, variables=("n", "k"))

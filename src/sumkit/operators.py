@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .core import LazySequence, Scalar, as_fraction, ones
+from .core import LazySequence, Scalar, as_fraction, ones, running_sums
 from .errors import InvalidWeightError, SingularTriangleError, UnsupportedRowError
 
 
@@ -160,18 +160,8 @@ def _bv_triangle(wp: WeightPair, diag_factor, off_factor, label: str) -> Triangl
     def apply_special(T: TriangleOperator, x: LazySequence, row_bound):
         # y_n = u_n * (prefix_{n-1} + diag_factor(n) * w_n * x_n) with
         # prefix_m = sum_{k<=m} off_factor(k) * (w_k - w_{k+1}) * x_k
-        prefix: dict[int, Scalar] = {0: T.zero()}
-
-        def pref(m: int) -> Scalar:
-            if m not in prefix:
-                lo = m
-                while lo not in prefix:
-                    lo -= 1
-                acc = prefix[lo]
-                for j in range(lo + 1, m + 1):
-                    acc = acc + off_factor(j) * wp.w_forward_diff(j) * x.at(j)
-                    prefix[j] = acc
-            return prefix[m]
+        pref = running_sums(lambda j: off_factor(j) * wp.w_forward_diff(j) * x.at(j),
+                            T.zero())
 
         def rule_y(n: int) -> Scalar:
             return wp.u_at(n) * (pref(n - 1) + diag_factor(n) * wp.w_at(n) * x.at(n))
@@ -267,18 +257,7 @@ def _inverse_core(wp: WeightPair, y: LazySequence):
     """
     exact = wp.exact and y.exact
     zero: Scalar = Fraction(0) if exact else 0.0
-    prefix: dict[int, Scalar] = {0: zero}
-
-    def pref(m: int) -> Scalar:
-        if m not in prefix:
-            lo = m
-            while lo not in prefix:
-                lo -= 1
-            acc = prefix[lo]
-            for j in range(lo + 1, m + 1):
-                acc = acc + wp.recip_uw_diff(j) * y.at(j)
-                prefix[j] = acc
-        return prefix[m]
+    pref = running_sums(lambda j: wp.recip_uw_diff(j) * y.at(j), zero)
 
     def core(k: int) -> Scalar:
         return pref(k - 1) + y.at(k) / (wp.u_at(k) * wp.w_at(k))
@@ -314,12 +293,13 @@ def differentiated_inverse(wp: WeightPair, y: LazySequence) -> LazySequence:
 
 def basis_column(space: str, wp: WeightPair, k: int) -> LazySequence:
     """Column ``k`` of the inverse triangle: the unique solution of
-    ``T s = e^(k)``, computed by the back-substitution oracle."""
+    ``T s = e^(k)``, computed by the closed-form inverse (tests keep
+    back-substitution as its oracle)."""
     from .spaces import SpaceName  # local import to avoid a cycle
 
-    name = SpaceName(space) if not isinstance(space, SpaceName) else space
-    T = integrated_triangle(wp) if name is SpaceName.INT_BV else differentiated_triangle(wp)
-    return invert_triangle(T, LazySequence.unit(k, exact=wp.exact))
+    inverse = (integrated_inverse if SpaceName(space) is SpaceName.INT_BV
+               else differentiated_inverse)
+    return inverse(wp, LazySequence.unit(k, exact=wp.exact))
 
 
 def basis_column_tabulated(space: str, wp: WeightPair, k: int) -> LazySequence:
@@ -330,7 +310,7 @@ def basis_column_tabulated(space: str, wp: WeightPair, k: int) -> LazySequence:
     """
     from .spaces import SpaceName
 
-    name = SpaceName(space) if not isinstance(space, SpaceName) else space
+    name = SpaceName(space)
     exact = wp.exact
     zero: Scalar = Fraction(0) if exact else 0.0
 
@@ -384,27 +364,16 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
 
     Requires strictly positive t_k; checked lazily on access.
     """
-    totals: dict[int, Scalar] = {0: t.zero()}
-
-    def total(n: int) -> Scalar:
-        if n not in totals:
-            lo = n
-            while lo not in totals:
-                lo -= 1
-            acc = totals[lo]
-            for j in range(lo + 1, n + 1):
-                term = t.at(j)
-                if term <= 0:
-                    raise InvalidWeightError("t", j, "must be positive for a Riesz matrix")
-                acc = acc + term
-                totals[j] = acc
-        return totals[n]
-
-    def rule(n: int, k: int) -> Scalar:
+    def positive(k: int) -> Scalar:
         tk = t.at(k)
         if tk <= 0:
             raise InvalidWeightError("t", k, "must be positive for a Riesz matrix")
-        return tk / total(n)
+        return tk
+
+    total = running_sums(positive, t.zero())
+
+    def rule(n: int, k: int) -> Scalar:
+        return positive(k) / total(n)
 
     return TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, exact=t.exact,
                             label=f"riesz:{t.label or 't'}")
@@ -466,24 +435,32 @@ def identity_matrix() -> TriangleOperator:
     return TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, label="identity")
 
 
+class MatrixFamily(NamedTuple):
+    build: Callable[..., TriangleOperator]
+    param: Optional[str]  # None, "rational" or "weights"
+
+
+MATRIX_FAMILIES = {
+    "identity": MatrixFamily(identity_matrix, None),
+    "cesaro": MatrixFamily(cesaro_matrix, None),
+    "difference": MatrixFamily(difference_matrix, None),
+    "euler": MatrixFamily(euler_matrix, "rational"),
+    "taylor": MatrixFamily(taylor_matrix, "rational"),
+    "riesz": MatrixFamily(riesz_matrix, "weights"),
+}
+
+
 def classical_matrix(name: str, param=None) -> TriangleOperator:
-    """Dispatcher for the named classical matrices."""
-    name = name.lower()
-    if name == "identity":
-        return identity_matrix()
-    if name == "cesaro":
-        return cesaro_matrix()
-    if name == "difference":
-        return difference_matrix()
-    if name == "euler":
-        return euler_matrix(param)
-    if name == "taylor":
-        return taylor_matrix(param)
-    if name == "riesz":
-        if not isinstance(param, LazySequence):
-            raise ValueError("riesz needs a weight sequence parameter")
-        return riesz_matrix(param)
-    raise ValueError(f"unknown classical matrix {name!r}")
+    """The matrix of the named family in ``MATRIX_FAMILIES``; ``param`` is a
+    rational for euler/taylor and a weight sequence for riesz."""
+    family = MATRIX_FAMILIES.get(name.lower())
+    if family is None:
+        raise ValueError(f"unknown classical matrix {name!r}")
+    if family.param is None:
+        return family.build()
+    if family.param == "weights" and not isinstance(param, LazySequence):
+        raise ValueError(f"{name} needs a weight sequence parameter")
+    return family.build(param)
 
 
 # ---------------------------------------------------------------------------

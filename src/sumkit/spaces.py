@@ -36,7 +36,7 @@ class DomainSpace:
 
 
 def domain_space(name, wp: WeightPair) -> DomainSpace:
-    name = SpaceName(name) if not isinstance(name, SpaceName) else name
+    name = SpaceName(name)
     if name is SpaceName.INT_BV:
         return DomainSpace(name, wp, integrated_triangle(wp))
     return DomainSpace(name, wp, differentiated_triangle(wp))

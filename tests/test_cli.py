@@ -194,6 +194,33 @@ class TestClassCheck:
         assert all(len(r) == 16 for r in rows)
         assert [float(v) for v in rows[0]] == [1.0] + [0.0] * 15
 
+    def test_matrix_csv_of_a_composite_target_is_the_condition_matrix(self, tmp_path):
+        # the conditions run on the source reduction of Cesaro * identity;
+        # reducing the bare identity would give row 2 = (-1/2, 1, 0, 0)
+        path = tmp_path / "matrix.csv"
+        run_cli("class-check", "--source", "int-bv", "--target", "cesaro",
+                "--matrix", "identity", "--u", "ones", "--w", "harmonic",
+                "--schedule", "4,8,16", "--beta-row-limit", "2",
+                "--matrix-csv", str(path))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [float(v) for v in rows[1]] == [0.25, 0.5, 0.0, 0.0]
+
+    @pytest.mark.parametrize("target, described", [
+        ("cesaro", "cesaro-bounded"),
+        ("euler:1/2", "euler(1/2)-bounded"),
+        ("taylor:1/2", "taylor(1/2)-bounded"),
+        ("riesz:harmonic", "riesz(harmonic)-bounded"),
+    ])
+    def test_composite_target_spellings(self, target, described):
+        code, doc = run_json("class-check", "--source", "int-bv",
+                             "--target", target, "--matrix", "identity",
+                             "--schedule", "4,8,16", "--beta-row-limit", "2",
+                             "--row-bound", "32")
+        assert code in (0, 2, 3)
+        assert doc["outputs"]["report"]["target"] == described
+        assert doc["inputs"]["target"] == target
+
 
 # ---------------------------------------------------------------------------
 # pairing-check / reduction-check
@@ -312,6 +339,31 @@ class TestErrorsAndVersion:
         assert text == ""
         err = capsys.readouterr().err
         assert err.startswith("sumkit: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("class-check", "--source", "d-bv", "--target", "linf",
+          "--matrix", "cesaro", "--beta-row-limit", "0"), "beta row limit"),
+        (("transform", "--space", "int-bv", "--x", "ones", "--n", "0"), "--n"),
+        (("transform", "--space", "int-bv", "--x", "ones", "--n", "-3"), "--n"),
+        (("inverse", "--space", "int-bv", "--y", "ones", "--n", "0"), "--n"),
+        (("inverse", "--space", "int-bv", "--y", "ones", "--n", "-3"), "--n"),
+        (("basis", "--space", "int-bv", "--k", "1", "--n", "0"), "--n"),
+        (("basis", "--space", "int-bv", "--k", "1", "--n", "-3"), "--n"),
+        (("basis", "--space", "int-bv", "--k", "0"), "--k"),
+        (("pairing-check", "--space", "int-bv", "--a", "harmonic",
+          "--y", "e3", "--n", "-2"), "--n"),
+        (("norm", "--space", "int-bv", "--x", "e1", "--n", "-2"), "--n"),
+        (("transform", "--matrix", "expr:1/(n-k)", "--x", "ones", "--n", "4"),
+         "expression '1/(n-k)' divides by zero at n=1, k=1"),
+    ])
+    def test_bad_input_gives_one_error_line(self, capsys, argv, message):
+        code, text = run_cli(*argv)
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("sumkit: ")
+        assert err.count("\n") == 1
+        assert message in err
 
     def test_version_exits_zero(self, capsys):
         code, _ = run_cli("--version")

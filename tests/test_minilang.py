@@ -13,7 +13,7 @@ from sumkit.minilang import (
     parse_sequence_spec,
     parse_weight_spec,
 )
-from sumkit.operators import TriangleKind
+from sumkit.operators import MATRIX_FAMILIES, TriangleKind, truncation
 
 
 def ev(src, **env):
@@ -171,6 +171,25 @@ class TestMatrixSpecs:
         bad.write_text("1,x\n")
         with pytest.raises(SpecParseError):
             parse_matrix_spec(f"csv:{bad}")
+
+    # a non-canonical spelling of each registry family, and its reprint
+    FAMILY_SPECS = {
+        "identity": ("identity", "identity"),
+        "cesaro": (" cesaro ", "cesaro"),
+        "difference": ("difference", "difference"),
+        "euler": ("euler:0.5", "euler:1/2"),
+        "taylor": ("taylor:2/6", "taylor:1/3"),
+        "riesz": ("riesz:1, 2;tail= n", "riesz:1,2;tail=n"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(MATRIX_FAMILIES))
+    def test_family_specs_reprint_and_reparse(self, family):
+        text, canonical = self.FAMILY_SPECS[family]
+        spec = parse_matrix_spec(text)
+        assert spec.canonical == canonical
+        again = parse_matrix_spec(spec.canonical)
+        assert again.canonical == canonical
+        assert truncation(again.operator, 8) == truncation(spec.operator, 8)
 
     def test_unknown_matrix(self):
         with pytest.raises(SpecParseError):

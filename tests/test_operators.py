@@ -39,6 +39,7 @@ from sumkit.operators import (
 )
 
 from conftest import random_sequence, random_weight_pair
+from test_acceptance import SEED, exact_sequence, weight_pair
 
 WP_ONES = WeightPair.all_ones()
 WP_HARM = WeightPair(ones(), harmonic())
@@ -237,6 +238,33 @@ class TestBasisColumns:
             col = basis_column(space, wp, k)
             image = apply_triangle(T, col)
             assert image.prefix(24) == LazySequence.unit(k).prefix(24)
+
+    @staticmethod
+    def acceptance_2_cases():
+        """The weight pairs and unit columns of acceptance test 2."""
+        rng = random.Random(SEED + 1)
+        for _ in range(20):
+            wp = weight_pair(rng)
+            exact_sequence(rng, 64)
+            yield wp, rng.sample(range(1, 65), 4)
+
+    def test_closed_form_matches_back_substitution(self):
+        for wp, ks in self.acceptance_2_cases():
+            for space, triangle in (("int-bv", integrated_triangle),
+                                    ("d-bv", differentiated_triangle)):
+                T = triangle(wp)
+                for k in ks:
+                    oracle = invert_triangle(T, LazySequence.unit(k))
+                    assert basis_column(space, wp, k).prefix(64) == oracle.prefix(64)
+
+    def test_float_columns_round_the_exact_ones(self):
+        for wp, ks in self.acceptance_2_cases():
+            for space in ("int-bv", "d-bv"):
+                for k in ks:
+                    exact = basis_column(space, wp, k).prefix(64)
+                    floats = basis_column(space, wp.as_float(), k).prefix(64)
+                    for f, e in zip(floats, exact):
+                        assert f == pytest.approx(float(e), rel=1e-12, abs=0)
 
     def test_tabulated_form_agrees_when_u_equals_w(self):
         wp = WeightPair(harmonic(), harmonic())
