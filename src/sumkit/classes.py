@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceTag,
                    StatKind, TruncationSchedule, Verdict, _growth_window, _to_float,
-                   combine_conjunctive, judge_trace, running_sums)
-from .duals import beta_dual_check
+                   combine_conjunctive, judge_trace)
+from .duals import beta_dual_check, pairing_rows
 from .errors import UnsupportedClassError, UnsupportedRowError
 from .operators import (TriangleKind, TriangleOperator, WeightPair,
                         classical_matrix, differentiated_triangle,
@@ -56,10 +56,11 @@ class TransformTag(Enum):
 def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> TriangleOperator:
     """Conjugate ``A`` with the inverse triangle on the source side.
 
-    Row n of the result is the beta-kernel construction applied to row n
-    of ``A``: entry (n,k) couples the lead term at k with the weighted
-    tail sum over columns k+1..J of row n, J the row's support extent.
-    ``A`` must be row-finite (strict, or with a declared support bound).
+    Row n of the result is the beta-kernel construction ``pairing_rows``
+    applied to row n of ``A``: entry (n,k) couples the lead term at k with
+    the weighted tail sum over columns k+1..J of row n, J the row's support
+    extent.  ``A`` must be row-finite (strict, or with a declared support
+    bound).
     """
     if A.row_support is None:
         raise UnsupportedRowError(
@@ -68,33 +69,13 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
     exact = A.exact and wp.exact
     zero: Scalar = Fraction(0) if exact else 0.0
     extent = A.row_support
-    row_sums: dict[int, Callable[[int], Scalar]] = {}
+    d: list = [None]  # d_k depends on the weights only; shared by all rows
 
-    def row_prefix(n: int) -> Callable[[int], Scalar]:
-        pref = row_sums.get(n)
-        if pref is None:
-            if integrated:
-                pref = running_sums(lambda j: A.entry(n, j) / j, zero)
-            else:
-                pref = running_sums(lambda j: j * A.entry(n, j), zero)
-            row_sums[n] = pref
-        return pref
-
-    def rule(n: int, k: int) -> Scalar:
-        J = extent(n)
-        if k > J:
-            return zero
-        if integrated:
-            lead = A.entry(n, k) / (k * wp.u_at(k) * wp.w_at(k))
-        else:
-            lead = k * A.entry(n, k) / (wp.u_at(k) * wp.w_at(k))
-        if k == J:
-            return lead
-        pref = row_prefix(n)
-        return lead + wp.recip_uw_diff(k) * (pref(J) - pref(k))
+    def build_row(n: int) -> list:
+        return pairing_rows(lambda j: A.entry(n, j), wp, integrated, zero, d)(extent(n))
 
     label = "reduce-source-int-bv" if integrated else "reduce-source-d-bv"
-    return TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE,
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.ROW_EVALUABLE,
                             row_support=extent, exact=exact,
                             label=f"{label}({A.label})")
 

@@ -21,10 +21,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import add
+from typing import Callable, Optional
 
 from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag, StatKind,
                    TruncationSchedule, combine_conjunctive, judge_trace,
-                   running_sums, space_evidence)
+                   space_evidence)
 from .operators import TriangleKind, TriangleOperator, WeightPair
 from .spaces import SpaceName, domain_space, embed_from_l1
 
@@ -69,25 +72,62 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
                                 row_support=lambda n: n, exact=exact,
                                 label=kind.value)
 
-    integrated = kind is DualMatrixKind.BETA_INT_BV
-    if integrated:
-        pref = running_sums(lambda j: a.at(j) / j, zero)
-    else:
-        pref = running_sums(lambda j: j * a.at(j), zero)
-
-    def rule(n: int, k: int) -> Scalar:
-        if k > n:
-            return zero
-        if integrated:
-            lead = a.at(k) / (k * wp.u_at(k) * wp.w_at(k))
-        else:
-            lead = k * a.at(k) / (wp.u_at(k) * wp.w_at(k))
-        if k == n:
-            return lead
-        return lead + wp.recip_uw_diff(k) * (pref(n) - pref(k))
-
-    return TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE,
+    rows = pairing_rows(a.at, wp, kind is DualMatrixKind.BETA_INT_BV, zero)
+    return TriangleOperator(build_row=rows, kind=TriangleKind.ROW_EVALUABLE,
                             row_support=lambda n: n, exact=exact, label=kind.value)
+
+
+def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
+                 zero: Scalar, d: Optional[list] = None) -> Callable[[int], list]:
+    """Rows of the pairing construction for the coefficients ``c``.
+
+    Row J is ``[lead_k + d_k * (P_J - P_k) for k < J] + [lead_J]`` with
+
+    * ``lead_k = c_k / (k u_k w_k)``, resp. ``k c_k / (u_k w_k)``,
+    * ``d_k = (1/u_k) (1/w_k - 1/w_{k+1})``, read only for k < J,
+    * ``P`` the running sum of ``c_j / j``, resp. ``j c_j``.
+
+    This is the beta kernel row J for a sequence ``c`` and the source
+    reduction of a matrix row ``c`` with support J.  ``lead``, ``d`` and
+    ``P`` are kept between rows; each new term is computed in the order
+    the entry-wise formula reads it along row J, so the first failing
+    weight or coefficient is the one the formula would hit.  A list ``d``
+    may be shared between constructions over the same weights.
+    """
+    lead: list = [None]
+    d = [None] if d is None else d
+    P = [zero]
+
+    def lead_at(k: int) -> Scalar:
+        if integrated:
+            return c(k) / (k * wp.u_at(k) * wp.w_at(k))
+        return k * c(k) / (wp.u_at(k) * wp.w_at(k))
+
+    def row(J: int) -> list:
+        if J < 1:
+            return []
+        if len(lead) == 1:
+            lead.append(lead_at(1))
+        if J == 1:
+            return [lead[1]]
+        if len(d) == 1:
+            d.append(wp.recip_uw_diff(1))
+        while len(P) <= J:
+            j = len(P)
+            P.append(P[-1] + (c(j) / j if integrated else j * c(j)))
+        for k in range(max(2, min(len(lead), len(d))), J):
+            if len(lead) == k:
+                lead.append(lead_at(k))
+            if len(d) == k:
+                d.append(wp.recip_uw_diff(k))
+        if len(lead) == J:
+            lead.append(lead_at(J))
+        PJ = P[J]
+        out = [lead[k] + d[k] * (PJ - P[k]) for k in range(1, J)]
+        out.append(lead[J])
+        return out
+
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +203,18 @@ def alpha_dual_check(space, a: LazySequence, wp: WeightPair,
                             witness={"col": witness_col}, aux=aux)
 
 
-def _beta_statistic(M: TriangleOperator, sched: TruncationSchedule):
-    n_max = sched.max_size
-    zero = M.zero()
+def _beta_statistic(kind: DualMatrixKind, a: LazySequence, wp: WeightPair,
+                    sched: TruncationSchedule):
+    """Running supremum of the absolute row sums of the beta kernel, each
+    row built by ``pairing_rows`` and summed left to right."""
+    zero: Scalar = Fraction(0) if a.exact and wp.exact else 0.0
+    rows = pairing_rows(a.at, wp, kind is DualMatrixKind.BETA_INT_BV, zero)
     trace: list[tuple[int, Scalar]] = []
     sup = zero
     witness_row = 1
     sizes = set(sched.sizes)
-    for n in range(1, n_max + 1):
-        rowsum = zero
-        for k in range(1, n + 1):
-            rowsum = rowsum + abs(M.entry(n, k))
+    for n in range(1, sched.max_size + 1):
+        rowsum = reduce(add, map(abs, rows(n)), zero)
         if rowsum > sup:
             sup = rowsum
             witness_row = n
@@ -186,11 +227,11 @@ def gamma_dual_check(space, a: LazySequence, wp: WeightPair,
                      sched: TruncationSchedule) -> ConditionVerdict:
     """Row-sum supremum of the beta kernel alone: bounded partial pairing
     sums (the gamma-dual question)."""
-    M = dual_kernel_matrix(_beta_kind(space), a, wp)
-    trace, witness_row = _beta_statistic(M, sched)
+    kind = _beta_kind(space)
+    trace, witness_row = _beta_statistic(kind, a, wp, sched)
     status, routes = judge_trace([v for _, v in trace], StatKind.SUP, sched)
     aux = {
-        "kernel": M.label,
+        "kernel": kind.value,
         "routes": routes,
         "notes": [CORRECTION_NOTES["beta-kernel-summand"],
                   CORRECTION_NOTES["row-sum-statistic"]],

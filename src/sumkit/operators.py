@@ -75,21 +75,32 @@ class TriangleKind(Enum):
 
 
 class TriangleOperator:
-    """An infinite matrix given by a pure entry rule ``(n, k) -> scalar``.
+    """An infinite matrix given by a pure entry rule ``(n, k) -> scalar``
+    or by a row builder ``n -> [entry(n, 1), ..., entry(n, m)]``.
 
     STRICT_TRIANGLE means zero above the diagonal and nonzero on it, so
     rows are finite and back-substitution is available.  ROW_EVALUABLE
     matrices may have infinite rows; applying one needs either a declared
     per-row support or an explicit row truncation bound.
+
+    An entry rule is memoized entry by entry.  A row builder is called at
+    most once per row; the row is kept and entries past its end are zero,
+    so it must cover the row's support.
     """
 
-    __slots__ = ("_rule", "kind", "row_support", "exact", "label", "apply_special", "_memo")
+    __slots__ = ("_rule", "_build_row", "kind", "row_support", "exact", "label",
+                 "apply_special", "_memo", "_rows")
 
-    def __init__(self, rule: Callable[[int, int], Scalar], *, kind: TriangleKind,
+    def __init__(self, rule: Optional[Callable[[int, int], Scalar]] = None, *,
+                 kind: TriangleKind,
                  row_support: Optional[Callable[[int], int]] = None,
                  exact: bool = True, label: str = "",
-                 apply_special=None):
+                 apply_special=None,
+                 build_row: Optional[Callable[[int], list]] = None):
+        if (rule is None) == (build_row is None):
+            raise ValueError("give exactly one of an entry rule and a row builder")
         self._rule = rule
+        self._build_row = build_row
         self.kind = kind
         if row_support is None and kind is TriangleKind.STRICT_TRIANGLE:
             row_support = lambda n: n
@@ -97,16 +108,27 @@ class TriangleOperator:
         self.exact = exact
         self.label = label
         self.apply_special = apply_special
-        self._memo: dict[tuple[int, int], Scalar] = {}
+        self._memo: Optional[dict[tuple[int, int], Scalar]] = (
+            {} if rule is not None else None)
+        self._rows: Optional[dict[int, list]] = {} if build_row is not None else None
 
     def zero(self) -> Scalar:
         return Fraction(0) if self.exact else 0.0
+
+    def _built_row(self, n: int) -> list:
+        row = self._rows.get(n)
+        if row is None:
+            row = self._rows[n] = self._build_row(n)
+        return row
 
     def entry(self, n: int, k: int) -> Scalar:
         if n < 1 or k < 1:
             raise IndexError(f"matrix indices start at 1, got ({n}, {k})")
         if self.kind is TriangleKind.STRICT_TRIANGLE and k > n:
             return self.zero()
+        if self._rows is not None:
+            row = self._built_row(n)
+            return row[k - 1] if k <= len(row) else self.zero()
         key = (n, k)
         v = self._memo.get(key)
         if v is None:
@@ -115,7 +137,12 @@ class TriangleOperator:
         return v
 
     def row(self, n: int, upto: int) -> list[Scalar]:
-        return [self.entry(n, k) for k in range(1, upto + 1)]
+        if self._rows is None or n < 1:
+            return [self.entry(n, k) for k in range(1, upto + 1)]
+        row = self._built_row(n)
+        if upto <= len(row):
+            return row[:upto]
+        return row + [self.zero()] * (upto - len(row))
 
     def row_sequence(self, n: int) -> LazySequence:
         """Row ``n`` viewed as a lazy sequence over the column index."""
@@ -333,7 +360,15 @@ def basis_column_tabulated(space: str, wp: WeightPair, k: int) -> LazySequence:
 
 def basis_tabulated_discrepancies(space: str, wp: WeightPair, k: int, n_max: int) -> list[int]:
     """Indices n <= n_max where the tabulated closed form disagrees with the
-    oracle-defined basis column."""
+    oracle-defined basis column.
+
+    Float weights are compared through their exact values (every float is
+    a rational), so two formulas that round differently do not count as
+    disagreeing."""
+    if not wp.exact:
+        u, w = wp.u, wp.w
+        wp = WeightPair(LazySequence(lambda j: Fraction(u.at(j)), label=u.label),
+                        LazySequence(lambda j: Fraction(w.at(j)), label=w.label))
     oracle = basis_column(space, wp, k)
     tab = basis_column_tabulated(space, wp, k)
     return [n for n in range(1, n_max + 1) if oracle.at(n) != tab.at(n)]
@@ -470,15 +505,58 @@ def classical_matrix(name: str, param=None) -> TriangleOperator:
 
 def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
                    left_row_bound: Optional[int] = None, label: str = "") -> TriangleOperator:
-    """Entry-wise product matrix (L R)(n,k) = sum_j L(n,j) R(j,k).
+    """Product matrix (L R)(n,k) = sum_j L(n,j) R(j,k), each sum taken over
+    ascending j.
 
     The inner sum runs over the finite support of row n of ``L`` when
     declared, else up to ``left_row_bound``; a row-evaluable left factor
-    without either raises UnsupportedRowError at evaluation time.
+    without either raises UnsupportedRowError at evaluation time.  With a
+    row-finite ``L`` and a strict ``R`` the product is built row by row,
+    reading each row of ``L`` and of ``R`` once; otherwise entry by entry.
     """
     exact = L.exact and R.exact
-    strict = (L.kind is TriangleKind.STRICT_TRIANGLE
-              and R.kind is TriangleKind.STRICT_TRIANGLE)
+    left_strict = L.kind is TriangleKind.STRICT_TRIANGLE
+    right_strict = R.kind is TriangleKind.STRICT_TRIANGLE
+    kind = (TriangleKind.STRICT_TRIANGLE if left_strict and right_strict
+            else TriangleKind.ROW_EVALUABLE)
+    label = label or f"{L.label}*{R.label}"
+    zero: Scalar = Fraction(0) if exact else 0.0
+
+    row_support = None
+    if left_strict and right_strict:
+        row_support = lambda n: n
+    elif L.row_support is not None and R.row_support is not None:
+        lsup, rsup = L.row_support, R.row_support
+        row_support = lambda n: max((rsup(j) for j in range(1, lsup(n) + 1)),
+                                    default=0)
+    elif left_row_bound is not None and R.row_support is not None:
+        rsup = R.row_support
+        cap = max((rsup(j) for j in range(1, left_row_bound + 1)), default=0)
+        row_support = lambda n: cap
+
+    if L.row_support is not None and right_strict:
+        lsup = L.row_support
+        right_rows: dict[int, list[Scalar]] = {}
+
+        def build_row(n: int) -> list[Scalar]:
+            # acc[k-1] gathers L(n,j) R(j,k) over j >= k in ascending j, the
+            # order of the entry rule below; a float product converts L(n,j)
+            # once, as Fraction * float would on every term
+            J = lsup(n)
+            acc = [zero] * J
+            for j, lv in enumerate(L.row(n, J), 1):
+                if lv == 0:
+                    continue
+                rrow = right_rows.get(j)
+                if rrow is None:
+                    rrow = right_rows[j] = R.row(j, j)
+                if not exact:
+                    lv = float(lv)
+                acc[:j] = [a + lv * r for a, r in zip(acc, rrow)]
+            return acc
+
+        return TriangleOperator(build_row=build_row, kind=kind, row_support=row_support,
+                                exact=exact, label=label)
 
     def bound(n: int) -> int:
         if L.row_support is not None:
@@ -489,10 +567,8 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
             f"row {n} of {L.label or 'left factor'} has no finite support; "
             "pass an explicit row bound")
 
-    right_strict = R.kind is TriangleKind.STRICT_TRIANGLE
-
     def rule(n: int, k: int) -> Scalar:
-        total = Fraction(0) if exact else 0.0
+        total = zero
         start = k if right_strict else 1  # R(j,k) = 0 for j < k then
         for j in range(start, bound(n) + 1):
             lv = L.entry(n, j)
@@ -501,15 +577,5 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
             total += lv * R.entry(j, k)
         return total
 
-    row_support = None
-    if L.row_support is not None and R.row_support is not None:
-        lsup, rsup = L.row_support, R.row_support
-        row_support = lambda n: max((rsup(j) for j in range(1, lsup(n) + 1)),
-                                    default=0)
-    elif left_row_bound is not None and R.row_support is not None:
-        rsup = R.row_support
-        cap = max((rsup(j) for j in range(1, left_row_bound + 1)), default=0)
-        row_support = lambda n: cap
-    kind = TriangleKind.STRICT_TRIANGLE if strict else TriangleKind.ROW_EVALUABLE
     return TriangleOperator(rule, kind=kind, row_support=row_support, exact=exact,
-                            label=label or f"{L.label}*{R.label}")
+                            label=label)

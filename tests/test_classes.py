@@ -141,6 +141,37 @@ class TestSourceReduction:
                 assert B.entry(n, k) == K_int.entry(n, k)
                 assert D.entry(n, k) == K_d.entry(n, k)
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_rows_equal_the_entrywise_formula(self, mode):
+        # the entry-wise rule, one call per entry: lead_k + d_k (P_J - P_k)
+        # with P the running sum of row n of A, J its support extent
+        rng = random.Random(84)
+        wp = random_weight_pair(rng)
+        A = matrix_product(euler_matrix(Fraction(1, 3)), cesaro_matrix())
+        if mode == "float":
+            wp, A = wp.as_float(), A.as_float()
+        for reduce, integrated in ((reduce_source_int_bv, True),
+                                   (reduce_source_d_bv, False)):
+            B = reduce(A, wp)
+            for n in (1, 2, 5, 12, 30):
+                J = A.row_support(n)
+                P = [A.zero()]
+                for j in range(1, J + 1):
+                    c = A.entry(n, j)
+                    P.append(P[-1] + (c / j if integrated else j * c))
+                for k in range(1, J + 3):
+                    if k > J:
+                        want = A.zero()
+                    else:
+                        c = A.entry(n, k)
+                        if integrated:
+                            want = c / (k * wp.u_at(k) * wp.w_at(k))
+                        else:
+                            want = k * c / (wp.u_at(k) * wp.w_at(k))
+                        if k < J:
+                            want = want + wp.recip_uw_diff(k) * (P[J] - P[k])
+                    assert B.entry(n, k) == want, (n, k)
+
     def test_needs_row_finite_input(self):
         with pytest.raises(UnsupportedRowError):
             reduce_source_int_bv(taylor_matrix(Fraction(1, 2)), WP_ONES)

@@ -119,6 +119,28 @@ class TestBasis:
                           "--w", "ones", "--k", "3", "--n", "6")
         assert doc["warnings"] == []
 
+    @pytest.mark.parametrize("weights", ["harmonic", "power:-2", "geometric:2/3"])
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_float_mode_is_silent_when_u_equals_w(self, space, weights):
+        # u = w makes the tabulated form right; float rounding alone used
+        # to be reported as a disagreement at nearly every n > k
+        for k in (1, 2, 3, 5, 9):
+            for n in (k, k + 1, 12, 64):
+                _, doc = run_json("basis", "--mode", "float", "--space", space,
+                                  "--u", weights, "--w", weights,
+                                  "--k", str(k), "--n", str(n))
+                assert doc["warnings"] == [], (k, n)
+
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_genuine_disagreement_warns_in_both_modes(self, space):
+        warnings = {}
+        for mode in ("exact", "float"):
+            _, doc = run_json("basis", "--mode", mode, "--space", space, "--u", "ones",
+                              "--w", "harmonic", "--k", "3", "--n", "12")
+            warnings[mode] = doc["warnings"]
+        assert warnings["exact"] == warnings["float"]
+        assert "at positions [4, 5, 6, 7, 8, 9, 10, 11, 12];" in warnings["float"][0]
+
 
 # ---------------------------------------------------------------------------
 # dual-check / class-check

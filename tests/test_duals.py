@@ -10,9 +10,11 @@ from sumkit.core import (
     TruncationSchedule,
     Verdict,
     alternating,
+    geometric,
     harmonic,
     ones,
     powers,
+    running_sums,
     zeros,
 )
 from sumkit.duals import (
@@ -24,7 +26,15 @@ from sumkit.duals import (
     gamma_dual_check,
     pairing_identity_check,
 )
-from sumkit.operators import WeightPair, differentiated_inverse, integrated_inverse
+from sumkit.errors import InvalidWeightError
+from sumkit.operators import (
+    TriangleKind,
+    TriangleOperator,
+    WeightPair,
+    cesaro_matrix,
+    differentiated_inverse,
+    integrated_inverse,
+)
 from conftest import random_sequence, random_weight_pair
 
 SCHED = TruncationSchedule()
@@ -187,3 +197,115 @@ class TestPairingIdentity:
     def test_zero_sequence(self):
         assert pairing_identity_check(ones(), zeros(), WP_HARM,
                                       "int-bv", 12) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Entry-wise oracles for the row-wise beta kernel
+# ---------------------------------------------------------------------------
+
+
+def entrywise_beta_kernel(kind, a, wp):
+    """The beta kernel with one rule call per entry:
+    lead_k + d_k (P_n - P_k) for k < n, lead_n on the diagonal."""
+    integrated = kind is DualMatrixKind.BETA_INT_BV
+    exact = a.exact and wp.exact
+    zero = Fraction(0) if exact else 0.0
+    if integrated:
+        pref = running_sums(lambda j: a.at(j) / j, zero)
+    else:
+        pref = running_sums(lambda j: j * a.at(j), zero)
+
+    def rule(n, k):
+        if k > n:
+            return zero
+        if integrated:
+            lead = a.at(k) / (k * wp.u_at(k) * wp.w_at(k))
+        else:
+            lead = k * a.at(k) / (wp.u_at(k) * wp.w_at(k))
+        if k == n:
+            return lead
+        return lead + wp.recip_uw_diff(k) * (pref(n) - pref(k))
+
+    return TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE,
+                            row_support=lambda n: n, exact=exact)
+
+
+def entrywise_beta_statistic(M, sched):
+    """Running supremum of the absolute row sums, one ``entry`` per term."""
+    trace, sup, witness_row = [], M.zero(), 1
+    for n in range(1, sched.max_size + 1):
+        rowsum = M.zero()
+        for k in range(1, n + 1):
+            rowsum = rowsum + abs(M.entry(n, k))
+        if rowsum > sup:
+            sup, witness_row = rowsum, n
+        if n in sched.sizes:
+            trace.append((n, sup))
+    return trace, witness_row
+
+
+_ORACLE_WEIGHTS = {
+    "ones/ones": WP_ONES,
+    "ones/harmonic": WP_HARM,
+    "geometric:1/2/harmonic": WeightPair(geometric(Fraction(1, 2)), harmonic()),
+    "power:-1/geometric:1/2": WeightPair(powers(-1), geometric(Fraction(1, 2))),
+}
+_ORACLE_SEQUENCES = {
+    "power:-2": lambda: powers(-2),
+    "alternating": lambda: alternating(),
+    "harmonic": lambda: harmonic(),
+    "finite 3,-1,1/2": lambda: LazySequence.from_terms([3, -1, Fraction(1, 2)]),
+    "e5": lambda: LazySequence.unit(5),
+    "cesaro row 7": lambda: cesaro_matrix().row_sequence(7),
+}
+
+
+class TestRowWiseBetaKernel:
+    """The row-wise beta kernel and statistic equal the entry-wise loop
+    exactly, in both modes."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("weights", sorted(_ORACLE_WEIGHTS))
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_statistic_equals_the_entrywise_loop(self, space, weights, mode):
+        wp = _ORACLE_WEIGHTS[weights]
+        sched = TruncationSchedule(sizes=(4, 8, 16, 32)) if mode == "exact" else SCHED
+        kind = (DualMatrixKind.BETA_INT_BV if space == "int-bv"
+                else DualMatrixKind.BETA_D_BV)
+        if mode == "float":
+            wp = wp.as_float()
+        for name, make in _ORACLE_SEQUENCES.items():
+            a = make() if mode == "exact" else make().as_float()
+            want = entrywise_beta_statistic(entrywise_beta_kernel(kind, a, wp), sched)
+            assert entrywise_beta_statistic(dual_kernel_matrix(kind, a, wp), sched) == want
+            for check in (gamma_dual_check, beta_dual_check):
+                v = check(space, a, wp, sched)
+                assert (v.trace, v.witness["row"]) == want, (name, check.__name__)
+
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_entries_in_any_order(self, space):
+        rng = random.Random(76)
+        wp = random_weight_pair(rng)
+        a = random_sequence(rng, 40)
+        kind = (DualMatrixKind.BETA_INT_BV if space == "int-bv"
+                else DualMatrixKind.BETA_D_BV)
+        want = entrywise_beta_kernel(kind, a, wp)
+        got = dual_kernel_matrix(kind, a, wp)
+        cells = [(n, k) for n in range(1, 31) for k in range(1, 33)]
+        rng.shuffle(cells)
+        for n, k in cells:
+            assert got.entry(n, k) == want.entry(n, k), (n, k)
+        assert got.row(6, 9) == want.row(6, 9)
+
+    def test_first_zero_weight_is_the_entrywise_one(self):
+        # u_4 = w_4 = 0: the entry-wise loop first meets w_4, in d_3 on
+        # row 4, before it reads u_4 for the diagonal lead
+        wp = WeightPair(LazySequence.from_terms([1, 1, 1, 0, 1]),
+                        LazySequence.from_terms([1, 2, 3, 0, 5]))
+        M = entrywise_beta_kernel(DualMatrixKind.BETA_INT_BV, ones(), wp)
+        with pytest.raises(InvalidWeightError) as want:
+            entrywise_beta_statistic(M, FAST)
+        with pytest.raises(InvalidWeightError) as got:
+            gamma_dual_check("int-bv", ones(), wp, FAST)
+        assert (got.value.which, got.value.index) == (want.value.which,
+                                                      want.value.index) == ("w", 4)

@@ -1,0 +1,32 @@
+"""Golden reports: the exit code and sha256 of the report of every
+documented ``$ sumkit`` invocation, plus a composite-target class-check on
+the default schedule.
+
+The digests in ``golden_reports.json`` pin the report bytes, so any change
+to a verdict, a trace value or the rendering shows up here.  When a report
+changes on purpose, regenerate the file and say why in the change log.
+"""
+
+import hashlib
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+from conftest import run_cli
+from test_acceptance import documented_invocations
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+CASES = {**GOLDEN["readme"], **GOLDEN["extra"]}
+
+
+def test_every_documented_invocation_is_recorded():
+    documented = [shlex.join(argv) for argv in documented_invocations()]
+    assert documented == list(GOLDEN["readme"])
+
+
+@pytest.mark.parametrize("command", list(CASES))
+def test_report_matches_the_recorded_digest(command):
+    code, text = run_cli(*shlex.split(command))
+    assert code == CASES[command]["exit_code"]
+    assert hashlib.sha256(text.encode()).hexdigest() == CASES[command]["sha256"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumkit.core import LazySequence, harmonic, ones, powers
+from sumkit.duals import DualMatrixKind, dual_kernel_matrix
 from sumkit.errors import (
     InvalidWeightError,
     SingularTriangleError,
@@ -369,6 +370,13 @@ class TestMatrixProduct:
                 want = sum(L.entry(n, j) * R.entry(j, k) for j in range(1, m + 1))
                 assert P.entry(n, k) == want
 
+    def test_strict_product_row_support_is_the_row_index(self):
+        L, R = cesaro_matrix(), euler_matrix(Fraction(1, 2))
+        P = matrix_product(L, R)
+        for n in (1, 2, 7, 40):
+            assert P.row_support(n) == n == max(R.row_support(j)
+                                                for j in range(1, L.row_support(n) + 1))
+
     def test_row_evaluable_left_needs_bound(self):
         P = matrix_product(taylor_matrix(Fraction(1, 2)), identity_matrix())
         with pytest.raises(UnsupportedRowError):
@@ -377,3 +385,84 @@ class TestMatrixProduct:
                            left_row_bound=40)
         assert Q.entry(1, 1) == Fraction(1, 2)
         assert Q.row_support is not None and Q.row_support(5) == 40
+
+
+def dense_product_entry(L, R, n, k, bound):
+    """(L R)(n,k) summed entry-wise over ascending j <= bound, skipping the
+    zero entries of L."""
+    total = Fraction(0) if L.exact and R.exact else 0.0
+    start = k if R.kind is TriangleKind.STRICT_TRIANGLE else 1
+    for j in range(start, bound + 1):
+        lv = L.entry(n, j)
+        if lv == 0:
+            continue
+        total += lv * R.entry(j, k)
+    return total
+
+
+def _row_finite_kernel():
+    """A row-evaluable left factor with a declared support: row n of the
+    beta kernel of 1/k^2 has n entries."""
+    return dual_kernel_matrix(DualMatrixKind.BETA_D_BV, powers(-2), WP_HARM)
+
+
+class TestRowBuiltProducts:
+    """Products with a row-finite left factor and a strict right factor are
+    built row by row; each entry must equal the entry-wise sum exactly."""
+
+    CASES = {
+        "exact x exact": lambda: (integrated_triangle(random_weight_pair(random.Random(19))),
+                                  cesaro_matrix()),
+        "exact x exact, left zeros": lambda: (difference_matrix(),
+                                              euler_matrix(Fraction(1, 3))),
+        "row-finite kernel x exact": lambda: (_row_finite_kernel(),
+                                              integrated_triangle(WP_HARM)),
+        "exact generator x float": lambda: (cesaro_matrix(), identity_matrix().as_float()),
+        "exact generator x float euler": lambda: (euler_matrix(Fraction(2, 3)),
+                                                  cesaro_matrix().as_float()),
+        "float x exact": lambda: (differentiated_triangle(WP_HARM.as_float()),
+                                  riesz_matrix(harmonic())),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_entrywise_reference(self, case):
+        L, R = self.CASES[case]()
+        P = matrix_product(L, R)
+        assert P._build_row is not None  # the row-wise path is under test
+        assert P.exact == (L.exact and R.exact)
+        cells = [(n, k) for n in range(1, 41) for k in range(1, 43)]
+        random.Random(23).shuffle(cells)
+        for n, k in cells:
+            want = dense_product_entry(L, R, n, k, L.row_support(n))
+            got = P.entry(n, k)
+            assert got == want and type(got) is type(want), (case, n, k)
+
+    def test_bounded_taylor_generator_stays_entrywise(self):
+        G = taylor_matrix(Fraction(1, 2))
+        for A in (cesaro_matrix(), cesaro_matrix().as_float()):
+            P = matrix_product(G, A, left_row_bound=24)
+            assert P._build_row is None
+            for n in range(1, 13):
+                for k in range(1, 27):
+                    assert P.entry(n, k) == dense_product_entry(G, A, n, k, 24)
+
+    def test_each_row_is_built_once(self):
+        built = []
+
+        def build_row(n):
+            built.append(n)
+            return [Fraction(n)] * n
+
+        T = TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE)
+        assert [T.entry(3, k) for k in (1, 2, 3, 4)] == [3, 3, 3, 0]
+        assert T.row(3, 5) == [3, 3, 3, 0, 0]
+        assert T.row(2, 1) == [2]
+        assert built == [3, 2]
+        assert T.as_float().row(3, 3) == [3.0, 3.0, 3.0]
+
+    def test_needs_one_of_rule_and_row_builder(self):
+        with pytest.raises(ValueError):
+            TriangleOperator(kind=TriangleKind.STRICT_TRIANGLE)
+        with pytest.raises(ValueError):
+            TriangleOperator(lambda n, k: 1, build_row=lambda n: [1] * n,
+                             kind=TriangleKind.STRICT_TRIANGLE)
