@@ -113,8 +113,9 @@ _TRANSFORMS = {
 # ---------------------------------------------------------------------------
 
 
-def _scan_scale(values) -> float:
-    best = 1.0
+def _scan_scale(values, best: float = 1.0) -> float:
+    """The running judging scale: ``best`` raised to the largest ``|v|``
+    among ``values`` (NaN never raises it)."""
     for v in values:
         f = abs(_to_float(v))
         if f > best:
@@ -223,13 +224,13 @@ def _window_columns(s: int) -> tuple[int, range]:
 
 def _check_column_limits(A, sched, *, zero_limit: bool) -> ConditionVerdict:
     trace = []
-    seen = []
+    scale = 1.0
     for s in sched.sizes:
         cols, rows = _window_columns(s)
         defect = A.zero()
         for k in range(1, cols + 1):
             vals = [A.entry(n, k) for n in rows]
-            seen.extend(vals)
+            scale = _scan_scale(vals, scale)
             osc = max(vals) - min(vals)
             if osc > defect:
                 defect = osc
@@ -241,7 +242,7 @@ def _check_column_limits(A, sched, *, zero_limit: bool) -> ConditionVerdict:
     s_max = sched.max_size
     estimates = {k: A.entry(s_max, k) for k in range(1, min(16, s_max // 2) + 1)}
     status, routes = judge_trace([v for _, v in trace], StatKind.DEFECT, sched,
-                                 scale=_scan_scale(seen))
+                                 scale=scale)
     label = "C12(limit=0)" if zero_limit else "C12"
     return ConditionVerdict(status, trace, limit_estimates=estimates,
                             aux={"condition": label, "routes": routes})
@@ -249,7 +250,7 @@ def _check_column_limits(A, sched, *, zero_limit: bool) -> ConditionVerdict:
 
 def _check_column_sum_convergence(A, sched, *, to_zero: bool) -> ConditionVerdict:
     trace = []
-    seen = []
+    scale = 1.0
     for s in sched.sizes:
         cols, rows = _window_columns(s)
         defect = A.zero()
@@ -260,7 +261,7 @@ def _check_column_sum_convergence(A, sched, *, to_zero: bool) -> ConditionVerdic
                 acc = acc + A.entry(n, k)
                 if n > s // 2:
                     partials.append(acc)
-            seen.extend(partials)
+            scale = _scan_scale(partials, scale)
             osc = max(partials) - min(partials)
             if osc > defect:
                 defect = osc
@@ -270,7 +271,7 @@ def _check_column_sum_convergence(A, sched, *, to_zero: bool) -> ConditionVerdic
                     defect = mag
         trace.append((s, defect))
     status, routes = judge_trace([v for _, v in trace], StatKind.DEFECT, sched,
-                                 scale=_scan_scale(seen),
+                                 scale=scale,
                                  require_exact_zero=to_zero and A.exact)
     label = "C16" if to_zero else "C15"
     return ConditionVerdict(status, trace, aux={"condition": label, "routes": routes})
@@ -278,7 +279,7 @@ def _check_column_sum_convergence(A, sched, *, to_zero: bool) -> ConditionVerdic
 
 def _check_row_tails(A, sched) -> ConditionVerdict:
     trace = []
-    seen = []
+    scale = 1.0
     witness = None
     for s in sched.sizes:
         half = s // 2
@@ -286,13 +287,15 @@ def _check_row_tails(A, sched) -> ConditionVerdict:
         for n in range(1, max(1, half) + 1):
             for k in range(half + 1, s + 1):
                 v = abs(A.entry(n, k))
-                seen.append(v)
+                f = abs(_to_float(v))
+                if f > scale:
+                    scale = f
                 if v > defect:
                     defect = v
                     witness = {"row": n, "col": k}
         trace.append((s, defect))
     status, routes = judge_trace([v for _, v in trace], StatKind.DEFECT, sched,
-                                 scale=_scan_scale(seen))
+                                 scale=scale)
     return ConditionVerdict(status, trace, witness=witness,
                             aux={"condition": "C21", "routes": routes})
 

@@ -85,7 +85,13 @@ class TriangleOperator:
 
     An entry rule is memoized entry by entry.  A row builder is called at
     most once per row; the row is kept and entries past its end are zero,
-    so it must cover the row's support.
+    so it must cover the row's support.  The classical Riesz, Cesàro and
+    rational Euler matrices are row-built.
+
+    ``as_float`` keeps the shape of the operator it wraps and holds only
+    float values: a row-built operator becomes a row-built float operator
+    over the bare exact row builder, a rule-based one a float memo over the
+    bare exact rule, so no exact row or entry is kept.
     """
 
     __slots__ = ("_rule", "_build_row", "kind", "row_support", "exact", "label",
@@ -153,7 +159,14 @@ class TriangleOperator:
     def as_float(self) -> "TriangleOperator":
         if not self.exact:
             return self
-        return TriangleOperator(lambda n, k: float(self.entry(n, k)), kind=self.kind,
+        build, rule = self._build_row, self._rule
+        if build is not None:
+            return TriangleOperator(build_row=lambda n: [float(v) for v in build(n)],
+                                    kind=self.kind, row_support=self.row_support,
+                                    exact=False, label=self.label)
+        # an entry rule stays entry by entry: the order entries are read in
+        # decides the first error an ill-defined rule raises
+        return TriangleOperator(lambda n, k: float(rule(n, k)), kind=self.kind,
                                 row_support=self.row_support, exact=False,
                                 label=self.label)
 
@@ -379,25 +392,51 @@ def basis_tabulated_discrepancies(space: str, wp: WeightPair, k: int, n_max: int
 # ---------------------------------------------------------------------------
 
 
+def euler_entry(r, n: int, k: int) -> Scalar:
+    """Entry (n, k <= n) of the Euler matrix of order r:
+    C(n-1, k-1) (1-r)^(n-k) r^(k-1)."""
+    return math.comb(n - 1, k - 1) * (1 - r) ** (n - k) * r ** (k - 1)
+
+
 def euler_matrix(r) -> TriangleOperator:
-    """Euler means of order r, 0 < r < 1; rows sum to 1 exactly."""
+    """Euler means of order r, 0 < r < 1; rows sum to 1 exactly.
+
+    A rational r = p/q gives a row-built matrix: row n is
+    C(n-1, k-1) (q-p)^(n-k) p^(k-1) / q^(n-1), over the common denominator
+    of the row.  A float r keeps the entry rule ``euler_entry``.
+    """
     r = as_fraction(r) if not isinstance(r, float) else r
     if not (0 < r < 1):
         raise ValueError("euler matrix needs 0 < r < 1")
-    exact = not isinstance(r, float)
-    one_minus = 1 - r
+    label = f"euler:{r}"
+    if isinstance(r, float):
+        return TriangleOperator(lambda n, k: euler_entry(r, n, k),
+                                kind=TriangleKind.STRICT_TRIANGLE, exact=False, label=label)
+    p, q = r.numerator, r.denominator
 
-    def rule(n: int, k: int) -> Scalar:
-        return math.comb(n - 1, k - 1) * one_minus ** (n - k) * r ** (k - 1)
+    def build_row(n: int) -> list[Scalar]:
+        den = q ** (n - 1)
+        rest = [1] * n  # rest[i] = (q-p)^i
+        for i in range(1, n):
+            rest[i] = rest[i - 1] * (q - p)
+        row = []
+        binom, ppow = 1, 1  # C(n-1, k-1) and p^(k-1)
+        for k in range(1, n + 1):
+            row.append(Fraction(binom * rest[n - k] * ppow, den))
+            binom = binom * (n - k) // k
+            ppow *= p
+        return row
 
-    return TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, exact=exact,
-                            label=f"euler:{r}")
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            label=label)
 
 
 def riesz_matrix(t: LazySequence) -> TriangleOperator:
     """Riesz (weighted-mean) matrix entry(n,k) = t_k / (t_1 + ... + t_n).
 
-    Requires strictly positive t_k; checked lazily on access.
+    Requires strictly positive t_k; checked lazily on access.  Row n takes
+    the total once, which checks t_1..t_n in order, and divides each t_k
+    by it.
     """
     def positive(k: int) -> Scalar:
         tk = t.at(k)
@@ -407,11 +446,12 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
 
     total = running_sums(positive, t.zero())
 
-    def rule(n: int, k: int) -> Scalar:
-        return positive(k) / total(n)
+    def build_row(n: int) -> list[Scalar]:
+        tot = total(n)
+        return [t.at(k) / tot for k in range(1, n + 1)]
 
-    return TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, exact=t.exact,
-                            label=f"riesz:{t.label or 't'}")
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            exact=t.exact, label=f"riesz:{t.label or 't'}")
 
 
 def cesaro_matrix() -> TriangleOperator:
@@ -536,23 +576,35 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
 
     if L.row_support is not None and right_strict:
         lsup = L.row_support
-        right_rows: dict[int, list[Scalar]] = {}
+        # row j of R, and its nonzero (k-1, R(j,k)) pairs when at most half
+        # of the row is nonzero
+        right_rows: dict[int, tuple[list[Scalar], Optional[list]]] = {}
 
         def build_row(n: int) -> list[Scalar]:
             # acc[k-1] gathers L(n,j) R(j,k) over j >= k in ascending j, the
             # order of the entry rule below; a float product converts L(n,j)
-            # once, as Fraction * float would on every term
+            # once, as Fraction * float would on every term.  A term with
+            # R(j,k) = 0 leaves acc[k-1] as it is (a float acc starts at +0.0
+            # and never becomes -0.0), unless L(n,j) is not finite, when the
+            # term is NaN
             J = lsup(n)
             acc = [zero] * J
             for j, lv in enumerate(L.row(n, J), 1):
                 if lv == 0:
                     continue
-                rrow = right_rows.get(j)
-                if rrow is None:
-                    rrow = right_rows[j] = R.row(j, j)
+                right = right_rows.get(j)
+                if right is None:
+                    rrow = R.row(j, j)
+                    nonzero = [(i, r) for i, r in enumerate(rrow) if r != 0]
+                    right = right_rows[j] = (rrow, nonzero if 2 * len(nonzero) <= j else None)
+                rrow, nonzero = right
                 if not exact:
                     lv = float(lv)
-                acc[:j] = [a + lv * r for a, r in zip(acc, rrow)]
+                if nonzero is not None and (exact or math.isfinite(lv)):
+                    for i, r in nonzero:
+                        acc[i] = acc[i] + lv * r
+                else:
+                    acc[:j] = [a + lv * r for a, r in zip(acc, rrow)]
             return acc
 
         return TriangleOperator(build_row=build_row, kind=kind, row_support=row_support,

@@ -387,6 +387,30 @@ class TestErrorsAndVersion:
         assert err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("argv, line", [
+        (("inverse", "--matrix", "expr:1/(n-3)", "--y", "ones", "--n", "6"),
+         "expression '1/(n-3)' divides by zero at n=3, k=3"),
+        (("class-check", "--source", "l1", "--target", "c", "--matrix", "expr:1/(n-3)"),
+         "expression '1/(n-3)' divides by zero at n=3, k=1"),
+        (("class-check", "--source", "l1", "--target", "c",
+          "--matrix", "expr:1/((k-2)*(n-5))"),
+         "expression '1/((k-2)*(n-5))' divides by zero at n=2, k=2"),
+        (("class-check", "--source", "l1", "--target", "c", "--matrix", "riesz:1,0,2"),
+         "weight t[2] must be positive for a Riesz matrix"),
+        (("class-check", "--source", "l1", "--target", "c", "--matrix", "riesz:1,2,-1,3"),
+         "weight t[3] must be positive for a Riesz matrix"),
+        (("class-check", "--source", "l1", "--target", "c",
+          "--matrix", "riesz:expr:1/(n-4)"),
+         "weight t[1] must be positive for a Riesz matrix"),
+    ])
+    def test_first_error_is_the_first_bad_entry_read(self, capsys, argv, line, mode):
+        # the entry that fails first depends on the order the command reads
+        # entries in, not on how the matrix is evaluated or which mode it is in
+        code, text = run_cli(*argv, "--mode", mode)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"sumkit: {line}\n"
+
     def test_version_exits_zero(self, capsys):
         code, _ = run_cli("--version")
         assert code == 0

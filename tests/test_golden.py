@@ -1,6 +1,10 @@
 """Golden reports: the exit code and sha256 of the report of every
-documented ``$ sumkit`` invocation, plus a composite-target class-check on
-the default schedule.
+documented ``$ sumkit`` invocation, plus class-checks on the default
+schedule: a composite target, and one recipe of each table 1-6 on
+``euler:1/3``, ``riesz:harmonic`` and ``cesaro`` in float and exact mode
+(exact tables 3 and 4 once per matrix, leaving out the runs that end in an
+error), with the ``transform``/``inverse --matrix`` values of the same
+matrices.
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

@@ -1,5 +1,6 @@
 """Tests for the weighted triangles, their inverses and classical matrices."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from sumkit.errors import (
     SingularTriangleError,
     UnsupportedRowError,
 )
+from sumkit.minilang import parse_matrix_spec, parse_weight_spec
 from sumkit.operators import (
     TriangleKind,
     TriangleOperator,
@@ -26,6 +28,7 @@ from sumkit.operators import (
     difference_matrix,
     differentiated_inverse,
     differentiated_triangle,
+    euler_entry,
     euler_matrix,
     identity_matrix,
     integrated_inverse,
@@ -349,6 +352,95 @@ class TestClassicalMatrices:
             classical_matrix("riesz")
 
 
+def riesz_entry(t, n, k):
+    """The closed form t_k / (t_1 + ... + t_n), summed afresh."""
+    return t.at(k) / sum(t.at(j) for j in range(1, n + 1))
+
+
+RIESZ_WEIGHTS = {
+    "ones": ones,
+    "harmonic": harmonic,
+    "power:-2": lambda: powers(-2),
+    "explicit": lambda: parse_weight_spec("3,1/2,4,1,5/3")[0],
+}
+
+
+class TestRowBuiltClassicalMatrices:
+    """Riesz/Cesàro and rational Euler matrices are built a row at a time;
+    every row must equal the closed-form entry rule exactly, and a float
+    wrapper must round each exact entry once and keep no exact state."""
+
+    @pytest.mark.parametrize("r", ["1/2", "1/3", "2/3", "3/7"])
+    def test_euler_rows_equal_the_closed_form(self, r):
+        r = Fraction(r)
+        E = euler_matrix(r)
+        assert E._build_row is not None
+        for n in range(1, 65):
+            want = [euler_entry(r, n, k) for k in range(1, n + 1)]
+            got = E.row(n, n)
+            assert got == want and all(type(v) is Fraction for v in got), n
+
+    @pytest.mark.parametrize("weights", sorted(RIESZ_WEIGHTS))
+    def test_riesz_rows_equal_the_closed_form(self, weights):
+        t = RIESZ_WEIGHTS[weights]()
+        R = riesz_matrix(t)
+        assert R._build_row is not None
+        for n in range(1, 65):
+            got = R.row(n, n)
+            assert got == [riesz_entry(t, n, k) for k in range(1, n + 1)], n
+            assert all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("family, param", [
+        *[("euler", r) for r in ("1/2", "1/3", "2/3", "3/7")],
+        *[("riesz", w) for w in sorted(RIESZ_WEIGHTS)],
+    ])
+    def test_float_wrapper_rounds_the_closed_form_and_keeps_no_exact_rows(
+            self, family, param):
+        if family == "euler":
+            r = Fraction(param)
+            M, closed_form = euler_matrix(r), lambda n, k: euler_entry(r, n, k)
+        else:
+            t = RIESZ_WEIGHTS[param]()
+            M, closed_form = riesz_matrix(t), lambda n, k: riesz_entry(t, n, k)
+        F = M.as_float()
+        assert F._build_row is not None and not F.exact
+        cells = [(n, k) for n in range(1, 65) for k in range(1, 66)]
+        random.Random(29).shuffle(cells)
+        for n, k in cells:
+            want = float(closed_form(n, k)) if k <= n else 0.0
+            got = F.entry(n, k)
+            assert got == want and type(got) is float, (n, k)
+        assert M._rows == {}
+
+    def test_float_euler_keeps_its_entry_rule(self):
+        E = euler_matrix(0.25)
+        assert E._build_row is None and not E.exact
+        for n in range(1, 33):
+            assert E.row(n, n) == [euler_entry(0.25, n, k) for k in range(1, n + 1)]
+
+    RULE_BASED = {
+        "taylor:1/3": lambda: taylor_matrix(Fraction(1, 3)),
+        "expr": lambda: parse_matrix_spec("expr:1/(n+k^2)").operator,
+        "expr full": lambda: parse_matrix_spec("expr:(n-k)/(n+1)", full=True).operator,
+        "difference": difference_matrix,
+        "identity": identity_matrix,
+    }
+
+    @pytest.mark.parametrize("matrix", sorted(RULE_BASED))
+    def test_rule_based_float_wrapper_stays_on_the_entry_path(self, matrix):
+        M = self.RULE_BASED[matrix]()
+        F = M.as_float()
+        assert F._build_row is None and not F.exact
+        for n in range(1, 25):
+            for k in range(1, 27):
+                if M.kind is TriangleKind.STRICT_TRIANGLE and k > n:
+                    want = 0.0
+                else:
+                    want = float(M._rule(n, k))
+                assert F.entry(n, k) == want, (n, k)
+        assert M._memo == {}
+
+
 class TestMatrixProduct:
     def test_cesaro_times_difference_telescopes(self):
         P = matrix_product(cesaro_matrix(), difference_matrix())
@@ -422,6 +514,11 @@ class TestRowBuiltProducts:
                                                   cesaro_matrix().as_float()),
         "float x exact": lambda: (differentiated_triangle(WP_HARM.as_float()),
                                   riesz_matrix(harmonic())),
+        "exact x sparse exact": lambda: (integrated_triangle(WP_HARM), identity_matrix()),
+        "float x sparse exact": lambda: (integrated_triangle(WP_HARM.as_float()),
+                                         difference_matrix()),
+        "float x sparse float": lambda: (euler_matrix(Fraction(1, 3)).as_float(),
+                                         identity_matrix().as_float()),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -436,6 +533,24 @@ class TestRowBuiltProducts:
             want = dense_product_entry(L, R, n, k, L.row_support(n))
             got = P.entry(n, k)
             assert got == want and type(got) is type(want), (case, n, k)
+
+    def test_zero_right_entries_meet_non_finite_left_entries(self):
+        # inf * 0 and nan * 0 are NaN, so a non-finite L(n,j) must not skip
+        # the zero entries of row j of R
+        bad = {(5, 3): math.inf, (7, 2): -math.inf, (9, 4): math.nan}
+        L = TriangleOperator(lambda n, k: bad.get((n, k), 1.0 / (n + k)),
+                             kind=TriangleKind.STRICT_TRIANGLE, exact=False)
+        for R in (identity_matrix(), difference_matrix(), identity_matrix().as_float(),
+                  euler_matrix(Fraction(1, 2)).as_float()):
+            P = matrix_product(L, R)
+            assert P._build_row is not None
+            for n in range(1, 13):
+                for k in range(1, 14):
+                    want = dense_product_entry(L, R, n, k, n)
+                    assert repr(P.entry(n, k)) == repr(want), (n, k)
+        P = matrix_product(L, identity_matrix())
+        assert math.isnan(P.entry(5, 1)) and P.entry(5, 3) == math.inf
+        assert P.entry(6, 1) == 1.0 / 7
 
     def test_bounded_taylor_generator_stays_entrywise(self):
         G = taylor_matrix(Fraction(1, 2))
