@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceTag,
                    StatKind, TruncationSchedule, Verdict, _growth_window, _to_float,
-                   combine_conjunctive, judge_trace)
+                   column_scan, combine_conjunctive, gray_subset_search, judge_trace)
 from .duals import beta_dual_check, pairing_rows
 from .errors import UnsupportedClassError, UnsupportedRowError
 from .operators import (TriangleKind, TriangleOperator, WeightPair,
@@ -123,31 +124,38 @@ def _scan_scale(values, best: float = 1.0) -> float:
     return best
 
 
+def _verdict(label: str, trace, kind: StatKind, sched: TruncationSchedule, *,
+             witness=None, limit_estimates=None, **judge) -> ConditionVerdict:
+    """Judge a condition's trace and wrap it with its label and routes."""
+    status, routes = judge_trace([v for _, v in trace], kind, sched, **judge)
+    return ConditionVerdict(status, trace, witness=witness,
+                            limit_estimates=limit_estimates,
+                            aux={"condition": label, "routes": routes})
+
+
+def _check_columns(A, sched, label: str, *, absolute: bool) -> ConditionVerdict:
+    trace, col = column_scan(A, sched, absolute=absolute)
+    return _verdict(label, trace, StatKind.SUP, sched, witness={"col": col})
+
+
+_CHECKS = {
+    ConditionId.C11: lambda A, sched, zl: _check_entry_sup(A, sched),
+    ConditionId.C12: lambda A, sched, zl: _check_column_limits(A, sched, zero_limit=zl),
+    ConditionId.C13: lambda A, sched, zl: _check_columns(A, sched, "C13", absolute=True),
+    ConditionId.C14: lambda A, sched, zl: _check_columns(A, sched, "C14", absolute=False),
+    ConditionId.C15: lambda A, sched, zl: _check_column_sum_convergence(A, sched, to_zero=False),
+    ConditionId.C16: lambda A, sched, zl: _check_column_sum_convergence(A, sched, to_zero=True),
+    ConditionId.C20: lambda A, sched, zl: _check_subset_sums(A, sched, difference=0),
+    ConditionId.C21: lambda A, sched, zl: _check_row_tails(A, sched),
+    ConditionId.C22: lambda A, sched, zl: _check_subset_sums(A, sched, difference=+1),
+    ConditionId.C23: lambda A, sched, zl: _check_subset_sums(A, sched, difference=-1),
+}
+
+
 def check_condition(cid, A: TriangleOperator, sched: TruncationSchedule, *,
                     zero_limit: bool = False) -> ConditionVerdict:
     """Evaluate one battery condition on square truncations of ``A``."""
-    cid = ConditionId(cid)
-    if cid is ConditionId.C11:
-        return _check_entry_sup(A, sched)
-    if cid is ConditionId.C12:
-        return _check_column_limits(A, sched, zero_limit=zero_limit)
-    if cid is ConditionId.C13:
-        return _check_column_abs_sums(A, sched)
-    if cid is ConditionId.C14:
-        return _check_column_prefix_sums(A, sched)
-    if cid is ConditionId.C15:
-        return _check_column_sum_convergence(A, sched, to_zero=False)
-    if cid is ConditionId.C16:
-        return _check_column_sum_convergence(A, sched, to_zero=True)
-    if cid is ConditionId.C20:
-        return _check_subset_sums(A, sched, difference=0)
-    if cid is ConditionId.C21:
-        return _check_row_tails(A, sched)
-    if cid is ConditionId.C22:
-        return _check_subset_sums(A, sched, difference=+1)
-    if cid is ConditionId.C23:
-        return _check_subset_sums(A, sched, difference=-1)
-    raise ValueError(f"unknown condition {cid!r}")
+    return _CHECKS[ConditionId(cid)](A, sched, zero_limit)
 
 
 def _check_entry_sup(A, sched) -> ConditionVerdict:
@@ -165,116 +173,51 @@ def _check_entry_sup(A, sched) -> ConditionVerdict:
                     witness = {"row": n, "col": k}
         trace.append((s, best))
         prev = s
-    status, routes = judge_trace([v for _, v in trace], StatKind.SUP, sched)
-    return ConditionVerdict(status, trace, witness=witness,
-                            aux={"condition": "C11", "routes": routes})
+    return _verdict("C11", trace, StatKind.SUP, sched, witness=witness)
 
 
-def _check_column_abs_sums(A, sched) -> ConditionVerdict:
-    n_max = sched.max_size
-    zero = A.zero()
-    colsums = [zero] * (n_max + 1)
-    sizes = set(sched.sizes)
-    trace = []
-    witness = {"col": 1}
-    for n in range(1, n_max + 1):
-        for k in range(1, n_max + 1):
-            v = A.entry(n, k)
-            if v != 0:
-                colsums[k] = colsums[k] + abs(v)
-        if n in sizes:
-            best_k = max(range(1, n + 1), key=lambda k: colsums[k])
-            trace.append((n, colsums[best_k]))
-            witness = {"col": best_k}
-    status, routes = judge_trace([v for _, v in trace], StatKind.SUP, sched)
-    return ConditionVerdict(status, trace, witness=witness,
-                            aux={"condition": "C13", "routes": routes})
-
-
-def _check_column_prefix_sums(A, sched) -> ConditionVerdict:
-    n_max = sched.max_size
-    zero = A.zero()
-    prefix = [zero] * (n_max + 1)
-    peak = [zero] * (n_max + 1)
-    sizes = set(sched.sizes)
-    trace = []
-    witness = {"col": 1}
-    for n in range(1, n_max + 1):
-        for k in range(1, n_max + 1):
-            v = A.entry(n, k)
-            if v != 0:
-                prefix[k] = prefix[k] + v
-            mag = abs(prefix[k])
-            if mag > peak[k]:
-                peak[k] = mag
-        if n in sizes:
-            best_k = max(range(1, n + 1), key=lambda k: peak[k])
-            trace.append((n, peak[best_k]))
-            witness = {"col": best_k}
-    status, routes = judge_trace([v for _, v in trace], StatKind.SUP, sched)
-    return ConditionVerdict(status, trace, witness=witness,
-                            aux={"condition": "C14", "routes": routes})
-
-
-def _window_columns(s: int) -> tuple[int, range]:
-    """Columns with a visible tail, and the row window, at size ``s``."""
-    half = s // 2
-    return max(1, half), range(half + 1, s + 1)
-
-
-def _check_column_limits(A, sched, *, zero_limit: bool) -> ConditionVerdict:
+def _window_defects(A, sched, window, *, to_zero: bool):
+    """Per size s, the largest oscillation of ``window(k, s)`` (values along
+    column k in rows s//2+1..s) over the columns k <= max(1, s//2), and with
+    ``to_zero`` of the magnitude of its last value.  Returns the trace and
+    the judging scale."""
     trace = []
     scale = 1.0
     for s in sched.sizes:
-        cols, rows = _window_columns(s)
         defect = A.zero()
-        for k in range(1, cols + 1):
-            vals = [A.entry(n, k) for n in rows]
+        for k in range(1, max(1, s // 2) + 1):
+            vals = window(k, s)
             scale = _scan_scale(vals, scale)
             osc = max(vals) - min(vals)
             if osc > defect:
                 defect = osc
-            if zero_limit:
-                mag = abs(A.entry(s, k))
+            if to_zero:
+                mag = abs(vals[-1])
                 if mag > defect:
                     defect = mag
         trace.append((s, defect))
+    return trace, scale
+
+
+def _check_column_limits(A, sched, *, zero_limit: bool) -> ConditionVerdict:
+    def entries(k: int, s: int) -> list:
+        return [A.entry(n, k) for n in range(s // 2 + 1, s + 1)]
+
+    trace, scale = _window_defects(A, sched, entries, to_zero=zero_limit)
     s_max = sched.max_size
     estimates = {k: A.entry(s_max, k) for k in range(1, min(16, s_max // 2) + 1)}
-    status, routes = judge_trace([v for _, v in trace], StatKind.DEFECT, sched,
-                                 scale=scale)
-    label = "C12(limit=0)" if zero_limit else "C12"
-    return ConditionVerdict(status, trace, limit_estimates=estimates,
-                            aux={"condition": label, "routes": routes})
+    return _verdict("C12(limit=0)" if zero_limit else "C12", trace, StatKind.DEFECT,
+                    sched, limit_estimates=estimates, scale=scale)
 
 
 def _check_column_sum_convergence(A, sched, *, to_zero: bool) -> ConditionVerdict:
-    trace = []
-    scale = 1.0
-    for s in sched.sizes:
-        cols, rows = _window_columns(s)
-        defect = A.zero()
-        for k in range(1, cols + 1):
-            acc = A.zero()
-            partials = []
-            for n in range(1, s + 1):
-                acc = acc + A.entry(n, k)
-                if n > s // 2:
-                    partials.append(acc)
-            scale = _scan_scale(partials, scale)
-            osc = max(partials) - min(partials)
-            if osc > defect:
-                defect = osc
-            if to_zero:
-                mag = abs(acc)
-                if mag > defect:
-                    defect = mag
-        trace.append((s, defect))
-    status, routes = judge_trace([v for _, v in trace], StatKind.DEFECT, sched,
-                                 scale=scale,
-                                 require_exact_zero=to_zero and A.exact)
-    label = "C16" if to_zero else "C15"
-    return ConditionVerdict(status, trace, aux={"condition": label, "routes": routes})
+    def partial_sums(k: int, s: int) -> list:
+        column = (A.entry(n, k) for n in range(1, s + 1))
+        return list(accumulate(column, initial=A.zero()))[s // 2 + 1:]
+
+    trace, scale = _window_defects(A, sched, partial_sums, to_zero=to_zero)
+    return _verdict("C16" if to_zero else "C15", trace, StatKind.DEFECT, sched,
+                    scale=scale, require_exact_zero=to_zero and A.exact)
 
 
 def _check_row_tails(A, sched) -> ConditionVerdict:
@@ -285,19 +228,14 @@ def _check_row_tails(A, sched) -> ConditionVerdict:
         half = s // 2
         defect = A.zero()
         for n in range(1, max(1, half) + 1):
-            for k in range(half + 1, s + 1):
-                v = abs(A.entry(n, k))
-                f = abs(_to_float(v))
-                if f > scale:
-                    scale = f
+            vals = [abs(A.entry(n, k)) for k in range(half + 1, s + 1)]
+            scale = _scan_scale(vals, scale)
+            for k, v in enumerate(vals, half + 1):
                 if v > defect:
                     defect = v
                     witness = {"row": n, "col": k}
         trace.append((s, defect))
-    status, routes = judge_trace([v for _, v in trace], StatKind.DEFECT, sched,
-                                 scale=scale)
-    return ConditionVerdict(status, trace, witness=witness,
-                            aux={"condition": "C21", "routes": routes})
+    return _verdict("C21", trace, StatKind.DEFECT, sched, witness=witness, scale=scale)
 
 
 def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
@@ -339,17 +277,12 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
         prev = s
         upper_trace.append((s, upper_acc))
 
-        exh_val, exh_wit = _exhaustive_rect(fb, min(12, s))
-        greedy_val, greedy_wit = _greedy_rect(fb, s)
-        if greedy_val >= exh_val:
-            lower, wit = greedy_val, greedy_wit
-        else:
-            lower, wit = exh_val, exh_wit
+        exhaustive = _exhaustive_rect(fb, min(12, s))
+        greedy = _greedy_rect(fb, s)
+        lower, witness = greedy if greedy[0] >= exhaustive[0] else exhaustive
         lower_vals.append(lower)
-        witness = wit
 
-    floats = lower_vals
-    growth = _growth_window(floats, sched.growth_ratio, sched.growth_steps)
+    growth = _growth_window(lower_vals, sched.growth_ratio, sched.growth_steps)
     upper_status, routes = judge_trace([v for _, v in upper_trace], StatKind.SUP, sched)
     if growth is not None:
         status = Verdict.DIVERGENCE
@@ -367,65 +300,52 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
     return ConditionVerdict(status, upper_trace, witness=witness, aux=aux)
 
 
+def _row_signs(rowsum: list[float]) -> tuple[float, float]:
+    """The best |sum| over a subset of the row sums, and its sign: the
+    positive rows when their sum outweighs the rest, else the rest.  Rows
+    are added in ascending order."""
+    pos = neg = 0.0
+    for v in rowsum:
+        if v > 0.0:
+            pos += v
+        else:
+            neg += v
+    return (pos, 1.0) if pos >= -neg else (-neg, -1.0)
+
+
+def _signed_rows(rowsum: list[float]) -> list[int]:
+    sign = _row_signs(rowsum)[1]
+    return [n for n, v in enumerate(rowsum, 1) if sign * v > 0.0]
+
+
 def _exhaustive_rect(fb, depth: int) -> tuple[float, dict]:
     """Best |sum over N x K| with N, K subsets of the first ``depth``
     indices: exhaustive over column subsets (Gray code), closed-form
     optimal row subset for each."""
-    if depth < 1:
-        return 0.0, {"rows": [], "cols": []}
-    rowsum = [0.0] * (depth + 1)
-    best = 0.0
-    best_cols = 0
-    best_rows: list[int] = []
-    prev_gray = 0
-    for i in range(1, 1 << depth):
-        gray = i ^ (i >> 1)
-        bit = gray ^ prev_gray
-        col = bit.bit_length()
-        add = bool(gray & bit)
-        prev_gray = gray
-        pos = neg = 0.0
-        for n in range(1, depth + 1):
-            v = rowsum[n] + (fb[n][col] if add else -fb[n][col])
-            rowsum[n] = v
-            if v > 0.0:
-                pos += v
-            else:
-                neg += v
-        value = pos if pos >= -neg else -neg
-        if value > best:
-            best = value
-            best_cols = gray
-            sign = 1.0 if pos >= -neg else -1.0
-            best_rows = [n for n in range(1, depth + 1) if sign * rowsum[n] > 0.0]
-    cols = [c + 1 for c in range(depth) if best_cols >> c & 1]
-    return best, {"rows": best_rows, "cols": cols, "method": "exhaustive-12"}
+    columns = [[fb[n][k] for n in range(1, depth + 1)] for k in range(1, depth + 1)]
+    best, cols, rows = gray_subset_search(columns, 0.0, lambda acc: _row_signs(acc)[0],
+                                          _signed_rows)
+    return best, {"rows": rows or [], "cols": cols, "method": "exhaustive-12"}
 
 
 def _greedy_rect(fb, s: int) -> tuple[float, dict]:
     """Greedy sign-selection over all columns of the truncation: keep a
     column when it improves the row-optimized objective."""
-    rowsum = [0.0] * (s + 1)
+    fb_rows = fb[1:s + 1]
+    rowsum = [0.0] * s
     chosen: list[int] = []
     best = 0.0
     for k in range(1, s + 1):
-        pos = neg = 0.0
-        for n in range(1, s + 1):
-            v = rowsum[n] + fb[n][k]
-            if v > 0.0:
-                pos += v
-            else:
-                neg += v
-        value = pos if pos >= -neg else -neg
+        candidate = [r + row[k] for r, row in zip(rowsum, fb_rows)]
+        value = _row_signs(candidate)[0]
         if value > best:
             best = value
             chosen.append(k)
-            for n in range(1, s + 1):
-                rowsum[n] += fb[n][k]
-    pos_rows = [n for n in range(1, s + 1) if rowsum[n] > 0.0]
-    neg_rows = [n for n in range(1, s + 1) if rowsum[n] < 0.0]
-    pos = sum(rowsum[n] for n in pos_rows)
-    neg = -sum(rowsum[n] for n in neg_rows)
+            rowsum = candidate
+    pos_rows = [n for n, v in enumerate(rowsum, 1) if v > 0.0]
+    neg_rows = [n for n, v in enumerate(rowsum, 1) if v < 0.0]
+    pos = sum(rowsum[n - 1] for n in pos_rows)
+    neg = -sum(rowsum[n - 1] for n in neg_rows)
     rows = pos_rows if pos >= neg else neg_rows
     return best, {"rows": rows[:24], "cols": chosen[:24], "method": "greedy"}
 

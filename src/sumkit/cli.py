@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import (LazySequence, TruncationSchedule, Verdict, scalar_to_json,
                    _to_float)
@@ -198,16 +197,26 @@ def _values_json(seq_vals) -> list:
     return [scalar_to_json(v) for v in seq_vals]
 
 
-def _match_status(pairs, mode: str, tol: float) -> tuple[str, Optional[dict]]:
-    for n, lhs, rhs in pairs:
+def _identity_check(sides, n: int, mode: str, tol: float) -> tuple[str, dict]:
+    """Both sides of an identity at rows 1..n (``sides(m) -> (lhs, rhs)``),
+    compared exactly or within ``tol``: the status and the report outputs."""
+    pairs = [(m, *sides(m)) for m in range(1, n + 1)]
+    first_bad = None
+    for m, lhs, rhs in pairs:
         if mode == "exact":
             ok = lhs == rhs
         else:
             ok = abs(_to_float(lhs) - _to_float(rhs)) <= tol * max(1.0, abs(_to_float(rhs)))
         if not ok:
-            return "MISMATCH", {"n": n, "lhs": scalar_to_json(lhs),
-                                "rhs": scalar_to_json(rhs)}
-    return ("EXACT_MATCH" if mode == "exact" else "MATCH"), None
+            first_bad = {"n": m, "lhs": scalar_to_json(lhs), "rhs": scalar_to_json(rhs)}
+            break
+    if first_bad is not None:
+        status = "MISMATCH"
+    else:
+        status = "EXACT_MATCH" if mode == "exact" else "MATCH"
+    samples = [{"n": m, "lhs": scalar_to_json(l), "rhs": scalar_to_json(r)}
+               for m, l, r in pairs[:8]]
+    return status, {"checked_through": n, "samples": samples, "first_mismatch": first_bad}
 
 
 def _parse_target(text: str):
@@ -396,15 +405,9 @@ def _cmd_pairing_check(args, sched) -> _CommandResult:
     a, a_canon = _sequence(args.a, mode)
     y, y_canon = _sequence(args.y, mode)
     space = SpaceName(args.space)
-    pairs = []
-    for n in range(1, args.n + 1):
-        lhs, rhs = pairing_identity_check(a, y, wp, space, n)
-        pairs.append((n, lhs, rhs))
-    status, first_bad = _match_status(pairs, mode, sched.stabilization_tol)
-    samples = [{"n": n, "lhs": scalar_to_json(l), "rhs": scalar_to_json(r)}
-               for n, l, r in pairs[:8]]
-    outputs = {"checked_through": args.n, "samples": samples,
-               "first_mismatch": first_bad}
+    status, outputs = _identity_check(
+        lambda n: pairing_identity_check(a, y, wp, space, n), args.n, mode,
+        sched.stabilization_tol)
     return _CommandResult(
         inputs={"space": args.space, "a": a_canon, "y": y_canon,
                 "n": args.n, **wcanon},
@@ -420,17 +423,12 @@ def _cmd_reduction_check(args, sched) -> _CommandResult:
     wp, wcanon = _weights(args, mode)
     y, y_canon = _sequence(args.y, mode)
     op, matrix_canon, warnings = _matrix(args.matrix, mode, full=args.full)
-    pairs = []
-    for n in range(1, args.n + 1):
-        lhs, rhs = verify_reduction_roundtrip(op, wp, y, n)
-        pairs.append((n, lhs, rhs))
-    status, first_bad = _match_status(pairs, mode, sched.stabilization_tol)
-    samples = [{"n": n, "lhs": scalar_to_json(l), "rhs": scalar_to_json(r)}
-               for n, l, r in pairs[:8]]
+    status, outputs = _identity_check(
+        lambda n: verify_reduction_roundtrip(op, wp, y, n), args.n, mode,
+        sched.stabilization_tol)
     return _CommandResult(
         inputs={"matrix": matrix_canon, "y": y_canon, "n": args.n, **wcanon},
-        outputs={"checked_through": args.n, "samples": samples,
-                 "first_mismatch": first_bad},
+        outputs=outputs,
         status=status,
         method={"operation": "reduction-check",
                 "routes": ["rebuilt-matrix", "reduced-matrix"]},

@@ -10,6 +10,7 @@ is treated as structurally zero by the constructors that need it.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,18 +44,25 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
 
 
+def _int_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return str(decimal.Decimal(value))
+
+
 def scalar_to_json(value: Scalar):
     """Render a scalar losslessly for JSON: Fractions as 'p/q' strings."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+            return _int_text(value.numerator)
+        return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
     if isinstance(value, float):
         if math.isfinite(value):
             return value
         return repr(value)
     if isinstance(value, int):
-        return str(value)
+        return _int_text(value)
     raise TypeError(f"not a scalar: {value!r}")
 
 
@@ -199,6 +207,41 @@ def running_sums(term: Callable[[int], Scalar], zero: Scalar) -> Callable[[int],
         return sums[m]
 
     return prefix
+
+
+def gray_subset_search(vectors: list[list], zero, score: Callable[[list], Scalar],
+                       witness: Optional[Callable[[list], object]] = None):
+    """Best ``score`` over the sums of the nonempty subsets of ``vectors``.
+
+    Subsets are visited in Gray-code order, so each step adds one vector to,
+    or subtracts it from, a running sum ``acc`` (entry by entry, up to that
+    vector's length; ``acc`` starts as ``zero`` entries).  ``score(acc)``
+    replaces the best so far, starting from ``zero``, only when it is
+    strictly greater; ``witness(acc)`` is then taken from the running sum.
+    Returns the best score, the 1-based indices of its subset (empty when
+    no subset beats ``zero``) and its witness.
+    """
+    acc = [zero] * max(map(len, vectors), default=0)
+    best, best_mask, best_witness = zero, 0, None
+    prev = 0
+    for i in range(1, 1 << len(vectors)):
+        gray = i ^ (i >> 1)
+        bit = gray ^ prev
+        prev = gray
+        vec = vectors[bit.bit_length() - 1]
+        if gray & bit:
+            for j, v in enumerate(vec):
+                acc[j] = acc[j] + v
+        else:
+            for j, v in enumerate(vec):
+                acc[j] = acc[j] - v
+        value = score(acc)
+        if value > best:
+            best, best_mask = value, gray
+            if witness is not None:
+                best_witness = witness(acc)
+    chosen = [j + 1 for j in range(len(vectors)) if best_mask >> j & 1]
+    return best, chosen, best_witness
 
 
 def partial_sum(x: LazySequence, n: int) -> Scalar:
@@ -439,6 +482,44 @@ def judge_trace(values: list[Scalar], kind: StatKind, sched: TruncationSchedule,
             routes["geometric_decay"] = True
             return Verdict.HOLDS, routes
     return Verdict.INCONCLUSIVE, routes
+
+
+def column_scan(A, sched: TruncationSchedule, *,
+                absolute: bool) -> tuple[list[tuple[int, Scalar]], int]:
+    """Column statistics of the square truncations of the matrix ``A``.
+
+    With ``absolute`` column k sums |A(n,k)| over the rows read so far;
+    without, it keeps the peak of |A(1,k) + ... + A(n,k)| over n.  Rows
+    are read in ascending order through ``A.row``, each up to its declared
+    support (at most the max size), else up to the max size; zero entries
+    change no column.  At each size s the trace takes the largest
+    statistic over the columns k <= s, the first such k being the witness.
+    Returns the trace and the witness column at the last size.
+    """
+    n_max = sched.max_size
+    zero = A.zero()
+    sums = [zero] * (n_max + 1)
+    peak = sums if absolute else [zero] * (n_max + 1)
+    support = A.row_support
+    sizes = set(sched.sizes)
+    trace: list[tuple[int, Scalar]] = []
+    col = 1
+    for n in range(1, n_max + 1):
+        upto = n_max if support is None else min(support(n), n_max)
+        for k, v in enumerate(A.row(n, upto), 1):
+            if v == 0:
+                continue
+            if absolute:
+                sums[k] = sums[k] + abs(v)
+            else:
+                sums[k] = sums[k] + v
+                mag = abs(sums[k])
+                if mag > peak[k]:
+                    peak[k] = mag
+        if n in sizes:
+            col = max(range(1, n + 1), key=peak.__getitem__)
+            trace.append((n, peak[col]))
+    return trace, col
 
 
 # ---------------------------------------------------------------------------

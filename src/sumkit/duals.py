@@ -26,8 +26,8 @@ from operator import add
 from typing import Callable, Optional
 
 from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag, StatKind,
-                   TruncationSchedule, combine_conjunctive, judge_trace,
-                   space_evidence)
+                   TruncationSchedule, column_scan, combine_conjunctive,
+                   gray_subset_search, judge_trace, space_evidence)
 from .operators import TriangleKind, TriangleOperator, WeightPair
 from .spaces import SpaceName, domain_space, embed_from_l1
 
@@ -150,27 +150,9 @@ def _row_subset_cross_check(M: TriangleOperator, depth: int = 12) -> dict:
     over S inside the first ``depth`` rows; a bounded cross-check of the
     subset-family form of the alpha condition."""
     zero = M.zero()
-    cols = list(range(1, depth + 1))
-    acc = {k: zero for k in cols}
-    best = zero
-    best_mask = 0
-    prev_gray = 0
-    for i in range(1, 1 << depth):
-        gray = i ^ (i >> 1)
-        bit = gray ^ prev_gray
-        row = bit.bit_length()
-        sign = 1 if gray & bit else -1
-        for k in cols:
-            if k <= row:
-                v = M.entry(row, k)
-                acc[k] = acc[k] + v if sign > 0 else acc[k] - v
-        prev_gray = gray
-        value = sum((abs(acc[k]) for k in cols), zero)
-        if value > best:
-            best = value
-            best_mask = gray
-    rows = [r + 1 for r in range(depth) if best_mask >> r & 1]
-    return {"value": best, "rows": rows, "depth": depth}
+    value, rows, _ = gray_subset_search([M.row(n, n) for n in range(1, depth + 1)], zero,
+                                        lambda acc: sum(map(abs, acc), zero))
+    return {"value": value, "rows": rows, "depth": depth}
 
 
 def alpha_dual_check(space, a: LazySequence, wp: WeightPair,
@@ -178,19 +160,7 @@ def alpha_dual_check(space, a: LazySequence, wp: WeightPair,
     """Column-sum statistic of the alpha kernel: finite iff ``a`` is an
     alpha-dual element at truncation scale."""
     M = dual_kernel_matrix(_alpha_kind(space), a, wp)
-    n_max = sched.max_size
-    zero = M.zero()
-    colsums = [zero] * (n_max + 1)
-    trace: list[tuple[int, Scalar]] = []
-    witness_col = 1
-    sizes = set(sched.sizes)
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            colsums[k] = colsums[k] + abs(M.entry(n, k))
-        if n in sizes:
-            best_k = max(range(1, n + 1), key=lambda k: colsums[k])
-            trace.append((n, colsums[best_k]))
-            witness_col = best_k
+    trace, witness_col = column_scan(M, sched, absolute=True)
     status, routes = judge_trace([v for _, v in trace], StatKind.SUP, sched)
     cross = _row_subset_cross_check(M)
     aux = {

@@ -183,6 +183,15 @@ class TestClassCheck:
                    for c in report["conditions"])
         assert doc["inputs"]["table"] == 1
 
+    def test_exact_trace_past_the_int_digit_limit_is_reported(self):
+        # the C22 trace reaches fractions with over 4300 digits per side
+        code, doc = run_json("class-check", "--mode", "exact", "--table", "2",
+                             "--source", "bs", "--target", "l1",
+                             "--matrix", "riesz:harmonic")
+        assert code == 2 == doc["exit_code"]
+        trace = doc["outputs"]["report"]["conditions"][1]["verdict"]["trace"]
+        assert len(trace[-1]["statistic"]) > 2 * 4300
+
     def test_full_constant_matrix_is_inconclusive(self):
         code, doc = run_json("class-check", "--matrix", "expr:1", "--full",
                              "--source", "bs", "--target", "l1")

@@ -1,6 +1,7 @@
 """Tests for sequences, partial sums, schedules and the verdict engine."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,13 @@ class TestScalarJson:
 
     def test_nonfinite_is_tagged(self):
         assert scalar_to_json(float("inf")) == "inf"
+
+    def test_past_the_int_digit_limit_round_trips(self):
+        # str() of an int past 4300 digits raises ValueError
+        value = Fraction(10**5000 + 1, 3)
+        num, den = scalar_to_json(value).split("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == value
+        assert int(Decimal(scalar_to_json(Fraction(-10**5000)))) == -10**5000
 
     def test_as_fraction_rejects_floats(self):
         with pytest.raises(TypeError):

@@ -4,11 +4,14 @@ schedule: a composite target, and one recipe of each table 1-6 on
 ``euler:1/3``, ``riesz:harmonic`` and ``cesaro`` in float and exact mode
 (exact tables 3 and 4 once per matrix, leaving out the runs that end in an
 error), with the ``transform``/``inverse --matrix`` values of the same
-matrices.
+matrices; the alpha dual-check (with its row-subset cross-check) in both
+spaces and modes; the C13 column sums on ``cesaro``; and ``taylor:1/2``,
+whose rows declare no support, into l1 and bs.
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report
-changes on purpose, regenerate the file and say why in the change log.
+changes on purpose, regenerate the file with ``tests/record_golden.py`` and
+say why in the change log.
 """
 
 import hashlib
