@@ -402,7 +402,7 @@ def table_recipe(table: int, source, target) -> Recipe:
     if table == 1:
         if src != "l1":
             fail("table 1 characterizes classes out of l1")
-        tag = _as_tag(tgt) if tgt != "l1" else SpaceTag.L1
+        tag = _as_tag(tgt)
         if tag is None or tag not in _L1_TARGET_RECIPES:
             fail()
         return Recipe(1, TransformTag.NONE, tuple(_L1_TARGET_RECIPES[tag]))
@@ -534,14 +534,9 @@ def _beta_prerequisite(A: TriangleOperator, wp: WeightPair, space: SpaceName,
     for n in range(1, rows + 1):
         seq = A.row_sequence(n)
         settle = seq.support if seq.support is not None else 4 * n
-        sizes = list(sched.sizes)
-        while sizes[-2] < settle:
-            sizes.append(sizes[-1] * 2)
-        row_sched = TruncationSchedule(
-            sizes=tuple(sizes),
-            stabilization_tol=sched.stabilization_tol,
-            growth_ratio=sched.growth_ratio,
-            growth_steps=sched.growth_steps)
+        row_sched = sched
+        while row_sched.sizes[-2] < settle:
+            row_sched = row_sched.doubled()
         verdict = beta_dual_check(space, seq, wp, row_sched)
         statuses[n] = verdict.status
         if worst is None or _VERDICT_RANK[verdict.status] < _VERDICT_RANK[worst.status]:

@@ -154,8 +154,15 @@ class LazySequence:
     def as_float(self) -> "LazySequence":
         if not self.exact:
             return self
-        return LazySequence(lambda k: float(self.at(k)), support=self.support,
-                            exact=False, label=self.label)
+        def term(k: int) -> float:
+            v = self.at(k)
+            try:
+                return float(v)
+            except OverflowError:
+                raise ValueError(f"term {k} of {self.label or 'a sequence'} "
+                                 "is too large for a float") from None
+
+        return LazySequence(term, support=self.support, exact=False, label=self.label)
 
 
 def ones(*, exact: bool = True) -> LazySequence:

@@ -54,26 +54,19 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
     """The lower-triangular kernel matrix for the requested dual question."""
     kind = DualMatrixKind(kind)
     exact = a.exact and wp.exact
-    zero: Scalar = Fraction(0) if exact else 0.0
 
     if kind in (DualMatrixKind.ALPHA_INT_BV, DualMatrixKind.ALPHA_D_BV):
         integrated = kind is DualMatrixKind.ALPHA_INT_BV
 
-        def rule(n: int, k: int) -> Scalar:
-            if k > n:
-                return zero
-            if k == n:
-                core = a.at(n) / (wp.u_at(n) * wp.w_at(n))
-                return core / n if integrated else core * n
-            core = wp.recip_uw_diff(k) * a.at(n)
-            return core / n if integrated else core * n
-
-        return TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE,
-                                row_support=lambda n: n, exact=exact,
-                                label=kind.value)
-
-    rows = pairing_rows(a.at, wp, kind is DualMatrixKind.BETA_INT_BV, zero)
-    return TriangleOperator(build_row=rows, kind=TriangleKind.ROW_EVALUABLE,
+        def build_row(n: int) -> list:
+            # d_k a_n for k < n, then a_n / (u_n w_n), in the entry formula's read order
+            cores = [wp.recip_uw_diff(k) * a.at(n) for k in range(1, n)]
+            cores.append(a.at(n) / (wp.u_at(n) * wp.w_at(n)))
+            return [c / n for c in cores] if integrated else [c * n for c in cores]
+    else:
+        build_row = pairing_rows(a.at, wp, kind is DualMatrixKind.BETA_INT_BV,
+                                 Fraction(0) if exact else 0.0)
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.ROW_EVALUABLE,
                             row_support=lambda n: n, exact=exact, label=kind.value)
 
 

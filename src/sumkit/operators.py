@@ -83,10 +83,12 @@ class TriangleOperator:
     matrices may have infinite rows; applying one needs either a declared
     per-row support or an explicit row truncation bound.
 
-    An entry rule is memoized entry by entry.  A row builder is called at
-    most once per row; the row is kept and entries past its end are zero,
-    so it must cover the row's support.  The classical Riesz, Cesàro and
-    rational Euler matrices are row-built.
+    A row builder is called at most once per row; the row is kept and
+    entries past its end are zero, so it must cover the row's support.
+    Every finite-row matrix sumkit constructs is row-built.  An entry rule
+    is memoized entry by entry; it serves only spec rules whose read order
+    is the contract (``expr:``, ``csv:``) and infinite rows (``taylor:``,
+    ``expr: --full``, products whose right factor has such rows).
 
     ``as_float`` keeps the shape of the operator it wraps and holds only
     float values: a row-built operator becomes a row-built float operator
@@ -159,16 +161,24 @@ class TriangleOperator:
     def as_float(self) -> "TriangleOperator":
         if not self.exact:
             return self
-        build, rule = self._build_row, self._rule
+        build, rule, label = self._build_row, self._rule, self.label
         if build is not None:
             return TriangleOperator(build_row=lambda n: [float(v) for v in build(n)],
                                     kind=self.kind, row_support=self.row_support,
-                                    exact=False, label=self.label)
-        # an entry rule stays entry by entry: the order entries are read in
-        # decides the first error an ill-defined rule raises
-        return TriangleOperator(lambda n, k: float(rule(n, k)), kind=self.kind,
-                                row_support=self.row_support, exact=False,
-                                label=self.label)
+                                    exact=False, label=label)
+        # only spec rules (expr:, csv:) and infinite rows (taylor:) are
+        # rule-based; they stay entry by entry, as the order entries are read
+        # in decides the first error an ill-defined rule raises
+        def entry(n: int, k: int) -> float:
+            v = rule(n, k)
+            try:
+                return float(v)
+            except OverflowError:
+                raise ValueError(f"entry ({n}, {k}) of {label or 'a matrix'} "
+                                 "is too large for a float") from None
+
+        return TriangleOperator(entry, kind=self.kind, row_support=self.row_support,
+                                exact=False, label=label)
 
 
 def truncation(T: TriangleOperator, n: int) -> list[list[Scalar]]:
@@ -184,18 +194,18 @@ def truncation(T: TriangleOperator, n: int) -> list[list[Scalar]]:
 def weighted_mean_triangle(wp: WeightPair) -> TriangleOperator:
     """Entries u_n * w_k for k <= n; the plain generalized weighted mean."""
 
-    def rule(n: int, k: int) -> Scalar:
-        return wp.u_at(n) * wp.w_at(k)
+    def build_row(n: int) -> list[Scalar]:
+        return [wp.u_at(n) * wp.w_at(k) for k in range(1, n + 1)]
 
-    return TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, exact=wp.exact,
-                            label="weighted-mean")
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            exact=wp.exact, label="weighted-mean")
 
 
 def _bv_triangle(wp: WeightPair, diag_factor, off_factor, label: str) -> TriangleOperator:
-    def rule(n: int, k: int) -> Scalar:
-        if k == n:
-            return diag_factor(n) * wp.u_at(n) * wp.w_at(n)
-        return off_factor(k) * wp.u_at(n) * wp.w_forward_diff(k)
+    def build_row(n: int) -> list[Scalar]:
+        row = [off_factor(k) * wp.u_at(n) * wp.w_forward_diff(k) for k in range(1, n)]
+        row.append(diag_factor(n) * wp.u_at(n) * wp.w_at(n))
+        return row
 
     def apply_special(T: TriangleOperator, x: LazySequence, row_bound):
         # y_n = u_n * (prefix_{n-1} + diag_factor(n) * w_n * x_n) with
@@ -208,8 +218,8 @@ def _bv_triangle(wp: WeightPair, diag_factor, off_factor, label: str) -> Triangl
 
         return rule_y
 
-    return TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, exact=wp.exact,
-                            label=label, apply_special=apply_special)
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            exact=wp.exact, label=label, apply_special=apply_special)
 
 
 def integrated_triangle(wp: WeightPair) -> TriangleOperator:
@@ -403,15 +413,11 @@ def euler_matrix(r) -> TriangleOperator:
 
     A rational r = p/q gives a row-built matrix: row n is
     C(n-1, k-1) (q-p)^(n-k) p^(k-1) / q^(n-1), over the common denominator
-    of the row.  A float r keeps the entry rule ``euler_entry``.
+    of the row.  A float r is refused; float mode rounds the exact rows.
     """
-    r = as_fraction(r) if not isinstance(r, float) else r
+    r = as_fraction(r)
     if not (0 < r < 1):
         raise ValueError("euler matrix needs 0 < r < 1")
-    label = f"euler:{r}"
-    if isinstance(r, float):
-        return TriangleOperator(lambda n, k: euler_entry(r, n, k),
-                                kind=TriangleKind.STRICT_TRIANGLE, exact=False, label=label)
     p, q = r.numerator, r.denominator
 
     def build_row(n: int) -> list[Scalar]:
@@ -428,7 +434,7 @@ def euler_matrix(r) -> TriangleOperator:
         return row
 
     return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            label=label)
+                            label=f"euler:{r}")
 
 
 def riesz_matrix(t: LazySequence) -> TriangleOperator:
@@ -463,20 +469,17 @@ def cesaro_matrix() -> TriangleOperator:
 def taylor_matrix(r) -> TriangleOperator:
     """Taylor matrix: upper-triangular with geometric rows, hence only
     row-evaluable; entry(n,k) = C(k-1, n-1) (1-r)^n r^(k-n) for k >= n."""
-    r = as_fraction(r) if not isinstance(r, float) else r
+    r = as_fraction(r)
     if not (0 < r < 1):
         raise ValueError("taylor matrix needs 0 < r < 1")
-    exact = not isinstance(r, float)
     one_minus = 1 - r
-    zero: Scalar = Fraction(0) if exact else 0.0
 
     def rule(n: int, k: int) -> Scalar:
         if k < n:
-            return zero
+            return Fraction(0)
         return math.comb(k - 1, n - 1) * one_minus ** n * r ** (k - n)
 
-    return TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE, row_support=None,
-                            exact=exact, label=f"taylor:{r}")
+    return TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE, label=f"taylor:{r}")
 
 
 def taylor_row_tail(r, n: int, j_max: int) -> Scalar:
@@ -493,21 +496,19 @@ def taylor_row_tail(r, n: int, j_max: int) -> Scalar:
 
 
 def difference_matrix() -> TriangleOperator:
-    def rule(n: int, k: int) -> Scalar:
-        if k == n:
-            return Fraction(1)
-        if k == n - 1:
-            return Fraction(-1)
-        return Fraction(0)
+    def build_row(n: int) -> list[Scalar]:
+        return [Fraction(0)] * (n - 2) + [Fraction(-1), Fraction(1)][-n:]
 
-    return TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, label="difference")
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            label="difference")
 
 
 def identity_matrix() -> TriangleOperator:
-    def rule(n: int, k: int) -> Scalar:
-        return Fraction(1) if n == k else Fraction(0)
+    def build_row(n: int) -> list[Scalar]:
+        return [Fraction(0)] * (n - 1) + [Fraction(1)]
 
-    return TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, label="identity")
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            label="identity")
 
 
 class MatrixFamily(NamedTuple):
@@ -551,8 +552,8 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
     The inner sum runs over the finite support of row n of ``L`` when
     declared, else up to ``left_row_bound``; a row-evaluable left factor
     without either raises UnsupportedRowError at evaluation time.  With a
-    row-finite ``L`` and a strict ``R`` the product is built row by row,
-    reading each row of ``L`` and of ``R`` once; otherwise entry by entry.
+    strict ``R`` the product is built row by row, reading each row of ``L``
+    and of ``R`` once; otherwise (``R`` with infinite rows) entry by entry.
     """
     exact = L.exact and R.exact
     left_strict = L.kind is TriangleKind.STRICT_TRIANGLE
@@ -574,20 +575,28 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
         cap = max((rsup(j) for j in range(1, left_row_bound + 1)), default=0)
         row_support = lambda n: cap
 
-    if L.row_support is not None and right_strict:
-        lsup = L.row_support
+    def bound(n: int) -> int:
+        if L.row_support is not None:
+            return L.row_support(n)
+        if left_row_bound is not None:
+            return left_row_bound
+        raise UnsupportedRowError(
+            f"row {n} of {L.label or 'left factor'} has no finite support; "
+            "pass an explicit row bound")
+
+    if right_strict:
         # row j of R, and its nonzero (k-1, R(j,k)) pairs when at most half
         # of the row is nonzero
         right_rows: dict[int, tuple[list[Scalar], Optional[list]]] = {}
 
         def build_row(n: int) -> list[Scalar]:
             # acc[k-1] gathers L(n,j) R(j,k) over j >= k in ascending j, the
-            # order of the entry rule below; a float product converts L(n,j)
+            # order of the entry-wise sum; a float product converts L(n,j)
             # once, as Fraction * float would on every term.  A term with
             # R(j,k) = 0 leaves acc[k-1] as it is (a float acc starts at +0.0
             # and never becomes -0.0), unless L(n,j) is not finite, when the
             # term is NaN
-            J = lsup(n)
+            J = bound(n)
             acc = [zero] * J
             for j, lv in enumerate(L.row(n, J), 1):
                 if lv == 0:
@@ -610,19 +619,9 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
         return TriangleOperator(build_row=build_row, kind=kind, row_support=row_support,
                                 exact=exact, label=label)
 
-    def bound(n: int) -> int:
-        if L.row_support is not None:
-            return L.row_support(n)
-        if left_row_bound is not None:
-            return left_row_bound
-        raise UnsupportedRowError(
-            f"row {n} of {L.label or 'left factor'} has no finite support; "
-            "pass an explicit row bound")
-
     def rule(n: int, k: int) -> Scalar:
         total = zero
-        start = k if right_strict else 1  # R(j,k) = 0 for j < k then
-        for j in range(start, bound(n) + 1):
+        for j in range(1, bound(n) + 1):
             lv = L.entry(n, j)
             if lv == 0:
                 continue

@@ -420,6 +420,24 @@ class TestErrorsAndVersion:
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == f"sumkit: {line}\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        (("class-check", "--mode", "float", "--table", "1", "--source", "l1",
+          "--target", "l1", "--matrix", "expr:10^307*(n-2*k)", "--schedule", "8,16,32,64"),
+         "entry (18, 18) of expr:10^307*(n-2*k) is too large for a float"),
+        (("transform", "--mode", "float", "--space", "int-bv", "--x", "expr:10^400",
+          "--n", "4"), "term 1 of expr:10^400 is too large for a float"),
+        (("transform", "--mode", "float", "--space", "int-bv", "--x", "ones",
+          "--u", "expr:10^400", "--n", "4"), "term 1 of expr:10^400 is too large for a float"),
+        (("dual-check", "--space", "int-bv", "--kind", "beta", "--a", "expr:10^400"),
+         "term 1 of expr:10^400 is too large for a float"),
+        (("transform", "--mode", "float", "--matrix", "expr:10^400", "--x", "ones",
+          "--n", "3"), "entry (1, 1) of expr:10^400 is too large for a float"),
+    ])
+    def test_float_overflow_names_the_term_or_entry(self, capsys, argv, line):
+        code, text = run_cli(*argv)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"sumkit: {line}\n"
+
     def test_version_exits_zero(self, capsys):
         code, _ = run_cli("--version")
         assert code == 0

@@ -5,8 +5,12 @@ schedule: a composite target, and one recipe of each table 1-6 on
 (exact tables 3 and 4 once per matrix, leaving out the runs that end in an
 error), with the ``transform``/``inverse --matrix`` values of the same
 matrices; the alpha dual-check (with its row-subset cross-check) in both
-spaces and modes; the C13 column sums on ``cesaro``; and ``taylor:1/2``,
-whose rows declare no support, into l1 and bs.
+spaces and modes; the C13 column sums on ``cesaro``; ``taylor:1/2``,
+whose rows declare no support, into l1 and bs; the bv-triangle products
+of tables 5 and 6 under non-constant weights (``identity`` from linf into
+int-bv and ``difference`` from c into d-bv, in both modes); ``difference``
+from int-bv into the ``cesaro`` domain; and the ``taylor:1/2`` domain
+target with ``--row-bound 40``.
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

@@ -14,7 +14,7 @@ from sumkit.errors import (
     SingularTriangleError,
     UnsupportedRowError,
 )
-from sumkit.minilang import parse_matrix_spec, parse_weight_spec
+from sumkit.minilang import parse_matrix_spec, parse_sequence_spec, parse_weight_spec
 from sumkit.operators import (
     TriangleKind,
     TriangleOperator,
@@ -365,6 +365,164 @@ RIESZ_WEIGHTS = {
 }
 
 
+# The entry rules the row builders replaced, kept as oracles.  Each reads
+# its operands in the order the row builder must read them along a row.
+
+
+def identity_rule(n, k):
+    return Fraction(1) if n == k else Fraction(0)
+
+
+def difference_rule(n, k):
+    if k == n:
+        return Fraction(1)
+    if k == n - 1:
+        return Fraction(-1)
+    return Fraction(0)
+
+
+def weighted_mean_rule(wp):
+    return lambda n, k: wp.u_at(n) * wp.w_at(k)
+
+
+def bv_rule(wp, integrated):
+    if wp.exact:
+        factor = Fraction if integrated else (lambda n: Fraction(1, n))
+    else:
+        factor = float if integrated else (lambda n: 1.0 / n)
+
+    def rule(n, k):
+        if k == n:
+            return factor(n) * wp.u_at(n) * wp.w_at(n)
+        return factor(k) * wp.u_at(n) * wp.w_forward_diff(k)
+
+    return rule
+
+
+def alpha_rule(a, wp, integrated):
+    def rule(n, k):
+        if k == n:
+            core = a.at(n) / (wp.u_at(n) * wp.w_at(n))
+        else:
+            core = wp.recip_uw_diff(k) * a.at(n)
+        return core / n if integrated else core * n
+
+    return rule
+
+
+def _row_built_case(name, wp, a):
+    """The row-built operator ``name`` over ``wp`` (and ``a`` for the alpha
+    kernels) with its oracle entry rule on k <= n."""
+    if name in ("identity", "difference"):
+        M, rule = {"identity": (identity_matrix(), identity_rule),
+                   "difference": (difference_matrix(), difference_rule)}[name]
+        if wp.exact:
+            return M, rule
+        return M.as_float(), lambda n, k: float(rule(n, k))
+    if name == "weighted-mean":
+        return weighted_mean_triangle(wp), weighted_mean_rule(wp)
+    if name == "integrated-bv":
+        return integrated_triangle(wp), bv_rule(wp, True)
+    if name == "differentiated-bv":
+        return differentiated_triangle(wp), bv_rule(wp, False)
+    kind = DualMatrixKind(name)
+    return (dual_kernel_matrix(kind, a, wp),
+            alpha_rule(a, wp, kind is DualMatrixKind.ALPHA_INT_BV))
+
+
+def _outcome(read):
+    """The scalars ``read()`` returns with their types, or the error it raises."""
+    try:
+        values = read()
+    except (InvalidWeightError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return values, [type(v) for v in values]
+
+
+def _weights_with_zeros(zeros, exact):
+    """Harmonic-like u and w with a zero at each (name, index) in ``zeros``."""
+    def seq(name, offset):
+        hit = {i for which, i in zeros if which == name}
+        return LazySequence(lambda k: Fraction(0) if k in hit else Fraction(1, k + offset))
+
+    wp = WeightPair(seq("u", 2), seq("w", 0))
+    return wp if exact else wp.as_float()
+
+
+class TestRowBuiltTriangles:
+    """The weighted and bv triangles, identity, difference and the alpha
+    kernels are row-built; every row must equal the old entry rule with
+    equal types, and raise the error the rule raises first along the row."""
+
+    NAMES = ["weighted-mean", "integrated-bv", "differentiated-bv", "identity",
+             "difference", "alpha-int-bv", "alpha-d-bv"]
+    N = 48
+
+    def _case(self, name, exact, wp=None, a=None):
+        if wp is None:
+            wp = random_weight_pair(random.Random(31))
+            wp = wp if exact else wp.as_float()
+        if a is None:
+            a = random_sequence(random.Random(37), 60)
+            a = a if exact else a.as_float()
+        T, rule = _row_built_case(name, wp, a)
+        assert T._build_row is not None and T.exact == exact
+        return T, rule
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_rows_equal_the_entry_rule(self, name, exact):
+        T, rule = self._case(name, exact)
+        for n in range(1, self.N + 1):
+            want = [rule(n, k) for k in range(1, n + 1)] + [T.zero()] * 2
+            got = T.row(n, n + 2)
+            assert got == want and list(map(type, got)) == list(map(type, want)), n
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_entries_in_shuffled_order_equal_the_entry_rule(self, name, exact):
+        T, rule = self._case(name, exact)
+        cells = [(n, k) for n in range(1, self.N + 1) for k in range(1, n + 1)]
+        random.Random(41).shuffle(cells)
+        for n, k in cells:
+            want, got = rule(n, k), T.entry(n, k)
+            assert got == want and type(got) is type(want), (n, k)
+
+    @pytest.mark.parametrize("zeros", [
+        [("u", 9)], [("w", 5)], [("w", 6)], [("u", 7), ("w", 7)], [("u", 8), ("w", 3)],
+    ])
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("name", ["weighted-mean", "integrated-bv",
+                                      "differentiated-bv", "alpha-int-bv", "alpha-d-bv"])
+    def test_a_zero_weight_raises_what_the_rule_raises(self, name, exact, zeros):
+        wp = _weights_with_zeros(zeros, exact)
+        T, rule = self._case(name, exact, wp=wp)
+        raised = 0
+        for n in range(1, 13):
+            want = _outcome(lambda: [rule(n, k) for k in range(1, n + 1)])
+            assert _outcome(lambda: T.row(n, n)) == want, n
+            raised += want[0] is InvalidWeightError
+        assert raised
+
+    @pytest.mark.parametrize("spec, zeros, first", [
+        ("expr:1/(n-3)", [], (3, ZeroDivisionError)),
+        ("expr:1/(n-2)", [("w", 2)], (2, InvalidWeightError)),  # d_1 reads w_2 before a_2
+    ])
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("name", ["alpha-int-bv", "alpha-d-bv"])
+    def test_alpha_kernel_of_an_ill_defined_sequence(self, name, exact, spec, zeros, first):
+        a = parse_sequence_spec(spec)[0]
+        wp = _weights_with_zeros(zeros, exact)
+        T, rule = self._case(name, exact, wp=wp, a=a if exact else a.as_float())
+        raised = []
+        for n in range(1, 13):
+            want = _outcome(lambda: [rule(n, k) for k in range(1, n + 1)])
+            assert _outcome(lambda: T.row(n, n)) == want, n
+            if isinstance(want[0], type):
+                raised.append((n, want[0]))
+        assert raised[0] == first
+
+
 class TestRowBuiltClassicalMatrices:
     """Riesz/Cesàro and rational Euler matrices are built a row at a time;
     every row must equal the closed-form entry rule exactly, and a float
@@ -393,15 +551,20 @@ class TestRowBuiltClassicalMatrices:
     @pytest.mark.parametrize("family, param", [
         *[("euler", r) for r in ("1/2", "1/3", "2/3", "3/7")],
         *[("riesz", w) for w in sorted(RIESZ_WEIGHTS)],
+        ("identity", None), ("difference", None),
     ])
     def test_float_wrapper_rounds_the_closed_form_and_keeps_no_exact_rows(
             self, family, param):
         if family == "euler":
             r = Fraction(param)
             M, closed_form = euler_matrix(r), lambda n, k: euler_entry(r, n, k)
-        else:
+        elif family == "riesz":
             t = RIESZ_WEIGHTS[param]()
             M, closed_form = riesz_matrix(t), lambda n, k: riesz_entry(t, n, k)
+        elif family == "identity":
+            M, closed_form = identity_matrix(), identity_rule
+        else:
+            M, closed_form = difference_matrix(), difference_rule
         F = M.as_float()
         assert F._build_row is not None and not F.exact
         cells = [(n, k) for n in range(1, 65) for k in range(1, 66)]
@@ -412,18 +575,17 @@ class TestRowBuiltClassicalMatrices:
             assert got == want and type(got) is float, (n, k)
         assert M._rows == {}
 
-    def test_float_euler_keeps_its_entry_rule(self):
-        E = euler_matrix(0.25)
-        assert E._build_row is None and not E.exact
-        for n in range(1, 33):
-            assert E.row(n, n) == [euler_entry(0.25, n, k) for k in range(1, n + 1)]
+    def test_float_r_is_refused(self):
+        # float mode rounds the rows of the exact matrix instead
+        with pytest.raises(TypeError):
+            euler_matrix(0.25)
+        with pytest.raises(TypeError):
+            taylor_matrix(0.25)
 
     RULE_BASED = {
         "taylor:1/3": lambda: taylor_matrix(Fraction(1, 3)),
         "expr": lambda: parse_matrix_spec("expr:1/(n+k^2)").operator,
         "expr full": lambda: parse_matrix_spec("expr:(n-k)/(n+1)", full=True).operator,
-        "difference": difference_matrix,
-        "identity": identity_matrix,
     }
 
     @pytest.mark.parametrize("matrix", sorted(RULE_BASED))
@@ -552,14 +714,16 @@ class TestRowBuiltProducts:
         assert math.isnan(P.entry(5, 1)) and P.entry(5, 3) == math.inf
         assert P.entry(6, 1) == 1.0 / 7
 
-    def test_bounded_taylor_generator_stays_entrywise(self):
+    def test_bounded_taylor_generator_is_row_built_and_equals_the_entrywise_reference(self):
         G = taylor_matrix(Fraction(1, 2))
         for A in (cesaro_matrix(), cesaro_matrix().as_float()):
             P = matrix_product(G, A, left_row_bound=24)
-            assert P._build_row is None
+            assert P._build_row is not None
             for n in range(1, 13):
                 for k in range(1, 27):
-                    assert P.entry(n, k) == dense_product_entry(G, A, n, k, 24)
+                    want = dense_product_entry(G, A, n, k, 24)
+                    got = P.entry(n, k)
+                    assert got == want and type(got) is type(want), (n, k)
 
     def test_each_row_is_built_once(self):
         built = []
