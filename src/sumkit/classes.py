@@ -566,14 +566,16 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
     'cs', 'c0s'), the domain spaces ('int-bv', 'd-bv'), or a
     CompositeTarget; domain endpoints need ``wp``.  Composite targets
     compose their generator with ``A`` first (Taylor generators need
-    ``row_bound``) and then run the bounded-target recipe out of the
-    domain source.  ``table`` forces a specific recipe table instead of
+    ``row_bound``, which no other target accepts) and then run the
+    bounded-target recipe out of the domain source.  ``table`` forces a specific recipe table instead of
     inferring one from the endpoints.
     """
     if sched is None:
         sched = TruncationSchedule()
     if beta_row_limit < 1:
         raise ValueError(f"the beta row limit must be at least 1, got {beta_row_limit}")
+    if row_bound is not None and not isinstance(target, CompositeTarget):
+        raise ValueError("a row bound applies only to composite targets")
     src = _endpoint_name(source)
     notes: list[str] = []
 

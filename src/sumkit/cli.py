@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", required=True)
     sp.add_argument("--table", type=int, default=None,
                     help="force a recipe table (1-6); default: inferred")
-    sp.add_argument("--row-bound", type=int, default=None)
+    sp.add_argument("--row-bound", type=int, default=None,
+                    help="generator row truncation; composite targets only")
     sp.add_argument("--beta-row-limit", type=int, default=32)
     sp.add_argument("--full", action="store_true",
                     help="expression matrices keep entries above the diagonal")

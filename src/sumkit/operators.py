@@ -17,6 +17,7 @@ an incremental prefix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,6 +25,10 @@ from typing import Callable, NamedTuple, Optional
 
 from .core import LazySequence, Scalar, as_fraction, ones, running_sums
 from .errors import InvalidWeightError, SingularTriangleError, UnsupportedRowError
+
+# the scalar an integer-ratio row builder makes of p/q: Fraction(p, q) in
+# exact mode, p / q in float mode
+Ratio = Callable[[int, int], Scalar]
 
 
 @dataclass
@@ -90,25 +95,34 @@ class TriangleOperator:
     is the contract (``expr:``, ``csv:``) and infinite rows (``taylor:``,
     ``expr: --full``, products whose right factor has such rows).
 
-    ``as_float`` keeps the shape of the operator it wraps and holds only
-    float values: a row-built operator becomes a row-built float operator
-    over the bare exact row builder, a rule-based one a float memo over the
-    bare exact rule, so no exact row or entry is kept.
+    The rational classical matrices (Riesz, Cesàro, Euler, identity,
+    difference) give a ratio row builder ``(n, ratio) -> row``: each entry
+    is an integer ratio ``ratio(p, q)``, and the operator passes
+    ``Fraction`` in exact mode and ``operator.truediv`` in float mode.
+    ``p / q`` is the correctly rounded value of p/q, reduced or not, so a
+    float row is bit-identical to rounding the exact row, and overflows
+    where that rounding would.
     """
 
-    __slots__ = ("_rule", "_build_row", "kind", "row_support", "exact", "label",
-                 "apply_special", "_memo", "_rows")
+    __slots__ = ("_rule", "_build_row", "_ratio_row", "kind", "row_support", "exact",
+                 "label", "apply_special", "_memo", "_rows")
 
     def __init__(self, rule: Optional[Callable[[int, int], Scalar]] = None, *,
                  kind: TriangleKind,
                  row_support: Optional[Callable[[int], int]] = None,
                  exact: bool = True, label: str = "",
                  apply_special=None,
-                 build_row: Optional[Callable[[int], list]] = None):
-        if (rule is None) == (build_row is None):
-            raise ValueError("give exactly one of an entry rule and a row builder")
+                 build_row: Optional[Callable[[int], list]] = None,
+                 ratio_row: Optional[Callable[[int, Ratio], list]] = None):
+        if (rule, build_row, ratio_row).count(None) != 2:
+            raise ValueError("give exactly one of an entry rule, a row builder "
+                             "and a ratio row builder")
+        if ratio_row is not None:
+            ratio = Fraction if exact else operator.truediv
+            build_row = lambda n: ratio_row(n, ratio)
         self._rule = rule
         self._build_row = build_row
+        self._ratio_row = ratio_row
         self.kind = kind
         if row_support is None and kind is TriangleKind.STRICT_TRIANGLE:
             row_support = lambda n: n
@@ -159,9 +173,20 @@ class TriangleOperator:
                             exact=self.exact, label=f"{self.label}[row {n}]")
 
     def as_float(self) -> "TriangleOperator":
+        """The float operator of the same shape, holding only float values.
+
+        A ratio row builder is called with float division, so its rows are
+        never built exactly; any other row builder (products, weight
+        triangles, kernels, a caller's builder) has its exact rows rounded
+        entry by entry; a rule-based operator becomes a float memo over the
+        bare exact rule.  No exact row or entry is kept.
+        """
         if not self.exact:
             return self
         build, rule, label = self._build_row, self._rule, self.label
+        if self._ratio_row is not None:
+            return TriangleOperator(ratio_row=self._ratio_row, kind=self.kind,
+                                    row_support=self.row_support, exact=False, label=label)
         if build is not None:
             return TriangleOperator(build_row=lambda n: [float(v) for v in build(n)],
                                     kind=self.kind, row_support=self.row_support,
@@ -411,16 +436,17 @@ def euler_entry(r, n: int, k: int) -> Scalar:
 def euler_matrix(r) -> TriangleOperator:
     """Euler means of order r, 0 < r < 1; rows sum to 1 exactly.
 
-    A rational r = p/q gives a row-built matrix: row n is
-    C(n-1, k-1) (q-p)^(n-k) p^(k-1) / q^(n-1), over the common denominator
-    of the row.  A float r is refused; float mode rounds the exact rows.
+    r = p/q must be rational (a float r is refused).  Row n is
+    C(n-1, k-1) (q-p)^(n-k) p^(k-1) over the common denominator q^(n-1) of
+    the row: integers only, with one ``ratio`` per entry, so float mode
+    divides once per entry and never builds the exact row.
     """
     r = as_fraction(r)
     if not (0 < r < 1):
         raise ValueError("euler matrix needs 0 < r < 1")
     p, q = r.numerator, r.denominator
 
-    def build_row(n: int) -> list[Scalar]:
+    def ratio_row(n: int, ratio: Ratio) -> list[Scalar]:
         den = q ** (n - 1)
         rest = [1] * n  # rest[i] = (q-p)^i
         for i in range(1, n):
@@ -428,12 +454,12 @@ def euler_matrix(r) -> TriangleOperator:
         row = []
         binom, ppow = 1, 1  # C(n-1, k-1) and p^(k-1)
         for k in range(1, n + 1):
-            row.append(Fraction(binom * rest[n - k] * ppow, den))
+            row.append(ratio(binom * rest[n - k] * ppow, den))
             binom = binom * (n - k) // k
             ppow *= p
         return row
 
-    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+    return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
                             label=f"euler:{r}")
 
 
@@ -441,8 +467,10 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
     """Riesz (weighted-mean) matrix entry(n,k) = t_k / (t_1 + ... + t_n).
 
     Requires strictly positive t_k; checked lazily on access.  Row n takes
-    the total once, which checks t_1..t_n in order, and divides each t_k
-    by it.
+    the total T_n = A/B first, which checks t_1..t_n in order.  Over exact
+    t_k = a_k/b_k the entry is the integer ratio a_k B / (b_k A), one
+    ``ratio`` per entry, so float mode divides once per entry and never
+    builds the exact row; float weights are divided by the float total.
     """
     def positive(k: int) -> Scalar:
         tk = t.at(k)
@@ -452,18 +480,22 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
 
     total = running_sums(positive, t.zero())
 
-    def build_row(n: int) -> list[Scalar]:
+    def ratio_row(n: int, ratio: Ratio) -> list[Scalar]:
         tot = total(n)
-        return [t.at(k) / tot for k in range(1, n + 1)]
+        if not t.exact:
+            return [t.at(k) / tot for k in range(1, n + 1)]
+        num, den = tot.numerator, tot.denominator
+        return [ratio(tk.numerator * den, tk.denominator * num)
+                for tk in map(t.at, range(1, n + 1))]
 
-    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+    return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
                             exact=t.exact, label=f"riesz:{t.label or 't'}")
 
 
 def cesaro_matrix() -> TriangleOperator:
-    T = riesz_matrix(ones())
-    T.label = "cesaro"
-    return T
+    """The Riesz matrix of t = ones: row n is n copies of 1/n."""
+    return TriangleOperator(ratio_row=lambda n, ratio: [ratio(1, n)] * n,
+                            kind=TriangleKind.STRICT_TRIANGLE, label="cesaro")
 
 
 def taylor_matrix(r) -> TriangleOperator:
@@ -496,18 +528,18 @@ def taylor_row_tail(r, n: int, j_max: int) -> Scalar:
 
 
 def difference_matrix() -> TriangleOperator:
-    def build_row(n: int) -> list[Scalar]:
-        return [Fraction(0)] * (n - 2) + [Fraction(-1), Fraction(1)][-n:]
+    def ratio_row(n: int, ratio: Ratio) -> list[Scalar]:
+        return [ratio(0, 1)] * (n - 2) + [ratio(-1, 1), ratio(1, 1)][-n:]
 
-    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+    return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
                             label="difference")
 
 
 def identity_matrix() -> TriangleOperator:
-    def build_row(n: int) -> list[Scalar]:
-        return [Fraction(0)] * (n - 1) + [Fraction(1)]
+    def ratio_row(n: int, ratio: Ratio) -> list[Scalar]:
+        return [ratio(0, 1)] * (n - 1) + [ratio(1, 1)]
 
-    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+    return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
                             label="identity")
 
 

@@ -252,6 +252,18 @@ class TestClassCheck:
         assert doc["outputs"]["report"]["target"] == described
         assert doc["inputs"]["target"] == target
 
+    @pytest.mark.parametrize("argv", [
+        ("--source", "l1", "--target", "c", "--matrix", "cesaro"),
+        ("--mode", "exact", "--source", "int-bv", "--target", "linf",
+         "--matrix", "taylor:1/3"),
+        ("--source", "c0", "--target", "d-bv", "--matrix", "expr:(n-k)/(n+1)", "--full"),
+    ])
+    def test_row_bound_outside_a_composite_target_is_an_error(self, capsys, argv):
+        code, text = run_cli("class-check", *argv, "--row-bound", "5")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "sumkit: a row bound applies only to composite targets\n")
+
 
 # ---------------------------------------------------------------------------
 # pairing-check / reduction-check

@@ -9,8 +9,11 @@ spaces and modes; the C13 column sums on ``cesaro``; ``taylor:1/2``,
 whose rows declare no support, into l1 and bs; the bv-triangle products
 of tables 5 and 6 under non-constant weights (``identity`` from linf into
 int-bv and ``difference`` from c into d-bv, in both modes); ``difference``
-from int-bv into the ``cesaro`` domain; and the ``taylor:1/2`` domain
-target with ``--row-bound 40``.
+from int-bv into the ``cesaro`` domain; the ``taylor:1/2`` domain target
+with ``--row-bound 40``; and three float checks that pin the float rows
+of the classical matrices past the default schedule: l1 into bs on
+``riesz:harmonic`` and linf into l1 on ``cesaro``, both on the schedule
+64,128,256,512, and table 1 l1 into c0s on ``euler:3/7``.
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

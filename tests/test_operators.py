@@ -576,7 +576,7 @@ class TestRowBuiltClassicalMatrices:
         assert M._rows == {}
 
     def test_float_r_is_refused(self):
-        # float mode rounds the rows of the exact matrix instead
+        # float mode divides the integer rows of a rational r instead
         with pytest.raises(TypeError):
             euler_matrix(0.25)
         with pytest.raises(TypeError):
@@ -601,6 +601,113 @@ class TestRowBuiltClassicalMatrices:
                     want = float(M._rule(n, k))
                 assert F.entry(n, k) == want, (n, k)
         assert M._memo == {}
+
+
+def _rounded(divide):
+    """``repr`` of the float ``divide()`` gives (so signed zeros differ), or
+    OverflowError when it raises that."""
+    try:
+        return repr(divide())
+    except OverflowError:
+        return OverflowError
+
+
+class TestIntegerRatioRows:
+    """The rational classical matrices build each row from integer ratios:
+    ``Fraction(p, q)`` in exact mode, one ``p / q`` per entry in float mode.
+    A float row must be bit-identical to rounding the exact row."""
+
+    FAMILIES = {
+        **{f"riesz:{w}": (lambda w=w: riesz_matrix(parse_weight_spec(w)[0]))
+           for w in ("harmonic", "power:-2", "3,1/2,4,1,5/3")},
+        "cesaro": cesaro_matrix,
+        **{f"euler:{r}": (lambda r=r: euler_matrix(Fraction(r)))
+           for r in ("1/2", "1/3", "2/3", "3/7")},
+        "identity": identity_matrix,
+        "difference": difference_matrix,
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_float_rows_are_the_rounded_exact_rows(self, family):
+        M, F = self.FAMILIES[family](), self.FAMILIES[family]().as_float()
+        assert F._ratio_row is not None and not F.exact
+        for n in [*range(1, 65), 512, 1024]:
+            want = [repr(float(v)) for v in M.row(n, n)]
+            got = F.row(n, n)
+            assert all(type(v) is float for v in got), n
+            assert list(map(repr, got)) == want, n
+
+    def test_unreduced_division_rounds_like_the_fraction(self):
+        rng = random.Random(73)
+        cases = []
+        for _ in range(2000):
+            p = rng.getrandbits(rng.choice((8, 60, 200, 1200))) * rng.choice((1, -1))
+            q = rng.getrandbits(rng.choice((8, 60, 200, 1200))) + 1
+            cases.append((p, q))
+        # every entry of the Euler 1/3 row at n = 4096, over 3^4095: the
+        # tails fall into the subnormal range and underflow to zero
+        n, den = 4096, 3 ** 4095
+        binom = 1
+        for k in range(1, n + 1):
+            cases.append((binom * 2 ** (n - k), den))
+            binom = binom * (n - k) // k
+        # random values about 2^-1030 .. 2^-1120: subnormal or zero
+        for _ in range(500):
+            cases.append((rng.getrandbits(40) + 1,
+                          (rng.getrandbits(40) + 1) * 2 ** rng.randrange(1030, 1120)))
+        # at both ends of the float range, halfway cases round to even: to
+        # zero or the least subnormal, to the largest float or past it
+        for m in (1074, 1075, 1076, 1080, 1100):
+            for c in (1, 2, 3, 5, -1, -3):
+                cases.append((c, 2 ** m))
+        for p in (2 ** 1024 - 2 ** 971, 2 ** 1024 - 2 ** 970 - 1, 2 ** 1024 - 2 ** 970):
+            cases += [(p, 1), (3 * p, 3), (-p, 1)]
+        subnormal = underflow = 0
+        for p, q in cases:
+            g = rng.getrandbits(64) + 1
+            want = _rounded(lambda: float(Fraction(p, q)))
+            assert _rounded(lambda: (p * g) / (q * g)) == want, (p, q)
+            assert _rounded(lambda: p / q) == want, (p, q)
+            if want is not OverflowError:
+                value = float(want)
+                subnormal += 0 < abs(value) < 2.0 ** -1022
+                underflow += value == 0 and p != 0
+        assert subnormal > 200 and underflow > 1000
+
+    @pytest.mark.parametrize("p, q", [
+        (10 ** 400, 3), (-(10 ** 309), 1), (2 ** 1024 - 2 ** 970, 1),
+        (2 ** 1100 + 1, 2 ** 76),
+    ])
+    def test_overflow_raises_on_both_paths(self, p, q):
+        g = 7 ** 40
+        with pytest.raises(OverflowError):
+            float(Fraction(p, q))
+        with pytest.raises(OverflowError):
+            (p * g) / (q * g)
+
+    def test_float_weights_keep_their_float_row(self):
+        t = harmonic(exact=False)
+        R = riesz_matrix(t)
+        assert not R.exact and R.as_float() is R
+        total = 0.0
+        for n in range(1, 65):
+            total += 1.0 / n
+            assert R.row(n, n) == [(1.0 / k) / total for k in range(1, n + 1)], n
+
+    @pytest.mark.parametrize("weights", ["1,0,2", "1,2,-1,3", "2,3,5,0", "-1"])
+    def test_a_nonpositive_riesz_weight_raises_alike_in_both_modes(self, weights):
+        exact = riesz_matrix(parse_weight_spec(weights)[0])
+        floats = riesz_matrix(parse_weight_spec(weights)[0]).as_float()
+        outcomes = []
+        for n in range(1, 7):
+            want = _outcome(lambda: exact.row(n, n))
+            got = _outcome(lambda: floats.row(n, n))
+            if isinstance(want[0], type):
+                assert got == want, n
+            else:
+                assert [float(v) for v in want[0]] == got[0], n
+            outcomes.append(want[0])
+        assert InvalidWeightError in outcomes
 
 
 class TestMatrixProduct:
