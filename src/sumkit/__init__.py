@@ -27,11 +27,12 @@ from .spaces import (DomainSpace, SpaceName, ak_tail_norm, domain_norm,
                      domain_space, embed_from_l1, membership_evidence)
 from .duals import (CORRECTION_NOTES, DualMatrixKind, alpha_dual_check,
                     beta_dual_check, dual_kernel_matrix, gamma_dual_check,
-                    pairing_identity_check)
+                    pairing_identity_check, pairing_identity_sides)
 from .classes import (ClassReport, CompositeTarget, ConditionId, Recipe,
                       TransformTag, characterize, check_condition,
                       reduce_source_d_bv, reduce_source_int_bv,
-                      reduce_target_d_bv, reduce_target_int_bv, table_recipe,
+                      reduce_target_d_bv, reduce_target_int_bv,
+                      reduction_roundtrip_sides, table_recipe,
                       verify_reduction_roundtrip)
 from .minilang import (MatrixSpec, compile_arithmetic, parse_matrix_spec,
                        parse_schedule_spec, parse_sequence_spec,
@@ -58,11 +59,11 @@ __all__ = [
     "embed_from_l1", "membership_evidence",
     "CORRECTION_NOTES", "DualMatrixKind", "alpha_dual_check",
     "beta_dual_check", "dual_kernel_matrix", "gamma_dual_check",
-    "pairing_identity_check",
+    "pairing_identity_check", "pairing_identity_sides",
     "ClassReport", "CompositeTarget", "ConditionId", "Recipe", "TransformTag",
     "characterize", "check_condition", "reduce_source_d_bv",
     "reduce_source_int_bv", "reduce_target_d_bv", "reduce_target_int_bv",
-    "table_recipe", "verify_reduction_roundtrip",
+    "reduction_roundtrip_sides", "table_recipe", "verify_reduction_roundtrip",
     "MatrixSpec", "compile_arithmetic", "parse_matrix_spec",
     "parse_schedule_spec", "parse_sequence_spec", "parse_weight_spec",
 ]

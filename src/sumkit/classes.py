@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceTag,
                    StatKind, TruncationSchedule, Verdict, _growth_window, _to_float,
@@ -24,7 +24,7 @@ from .duals import beta_dual_check, pairing_rows
 from .errors import UnsupportedClassError, UnsupportedRowError
 from .operators import (TriangleKind, TriangleOperator, WeightPair,
                         classical_matrix, differentiated_triangle,
-                        integrated_triangle, matrix_product)
+                        integrated_inverse, integrated_triangle, matrix_product)
 from .spaces import SpaceName
 
 
@@ -70,10 +70,9 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
     exact = A.exact and wp.exact
     zero: Scalar = Fraction(0) if exact else 0.0
     extent = A.row_support
-    d: list = [None]  # d_k depends on the weights only; shared by all rows
 
     def build_row(n: int) -> list:
-        return pairing_rows(lambda j: A.entry(n, j), wp, integrated, zero, d)(extent(n))
+        return pairing_rows(lambda j: A.entry(n, j), wp, integrated, zero)(extent(n))
 
     label = "reduce-source-int-bv" if integrated else "reduce-source-d-bv"
     return TriangleOperator(build_row=build_row, kind=TriangleKind.ROW_EVALUABLE,
@@ -654,33 +653,50 @@ def _pick_table(src: str, tgt: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_reduction_roundtrip(B: TriangleOperator, wp: WeightPair,
-                               y: LazySequence, n: int) -> tuple[Scalar, Scalar]:
+def reduction_roundtrip_sides(B: TriangleOperator, wp: WeightPair,
+                              y: LazySequence) -> Callable[[int], tuple[Scalar, Scalar]]:
     """Rebuild A = B T from a row-finite B (T the integrated triangle) and
-    compare (A x)_n against (B y)_n for x the embedded inverse image of y.
+    compare, row by row, (A x)_n against (B y)_n for x the embedded inverse
+    image of y: ``sides(n)`` gives both.
 
     The rebuilt entries are a_nk = k (w_k - w_{k+1}) sum_{j>k} u_j b_nj
     + k u_k w_k b_nk, i.e. the matrix product with the triangle taken
-    column-wise; the two sides must agree exactly in exact mode.
+    column-wise; the two sides must agree exactly in exact mode.  The
+    inverse image and the column factors k (w_k - w_{k+1}) and k u_k w_k
+    are built once, in ascending k, and shared by all rows; each row reads
+    its entries as a fresh evaluation would (the suffix sums descending,
+    then the columns ascending), so its value and its first error do not
+    depend on earlier rows.
     """
-    from .operators import integrated_inverse
-
     if B.row_support is None:
         raise UnsupportedRowError("reduction roundtrips need a row-finite matrix")
-    J = B.row_support(n)
     exact = B.exact and wp.exact and y.exact
     zero: Scalar = Fraction(0) if exact else 0.0
-
-    suffix = [zero] * (J + 2)
-    for k in range(J, 0, -1):
-        suffix[k] = suffix[k + 1] + wp.u_at(k) * B.entry(n, k)
-
     x = integrated_inverse(wp, y)
-    lhs = zero
-    for k in range(1, J + 1):
-        a_nk = k * wp.w_forward_diff(k) * suffix[k + 1] + k * wp.u_at(k) * wp.w_at(k) * B.entry(n, k)
-        lhs += a_nk * x.at(k)
-    rhs = zero
-    for k in range(1, J + 1):
-        rhs += B.entry(n, k) * y.at(k)
-    return lhs, rhs
+    factors: list = [None]  # factors[k] = (k (w_k - w_{k+1}), k u_k w_k)
+
+    def sides(n: int) -> tuple[Scalar, Scalar]:
+        J = B.row_support(n)
+        suffix = [zero] * (J + 2)
+        for k in range(J, 0, -1):
+            suffix[k] = suffix[k + 1] + wp.u_at(k) * B.entry(n, k)
+        lhs = zero
+        for k in range(1, J + 1):
+            if len(factors) == k:
+                factors.append((k * wp.w_forward_diff(k), k * wp.u_at(k) * wp.w_at(k)))
+            diff, diag = factors[k]
+            a_nk = diff * suffix[k + 1] + diag * B.entry(n, k)
+            lhs += a_nk * x.at(k)
+        rhs = zero
+        for k in range(1, J + 1):
+            rhs += B.entry(n, k) * y.at(k)
+        return lhs, rhs
+
+    return sides
+
+
+def verify_reduction_roundtrip(B: TriangleOperator, wp: WeightPair,
+                               y: LazySequence, n: int) -> tuple[Scalar, Scalar]:
+    """Both sides of the reduction roundtrip at row ``n``; see
+    ``reduction_roundtrip_sides``."""
+    return reduction_roundtrip_sides(B, wp, y)(n)

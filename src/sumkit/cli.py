@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 
 from .core import (LazySequence, TruncationSchedule, Verdict, scalar_to_json,
                    _to_float)
+# pairing_identity_check and verify_reduction_roundtrip are not called here;
+# they stay bound because perfbench/tracing.py wraps them by these names
 from .duals import (CORRECTION_NOTES, alpha_dual_check, beta_dual_check,
-                    gamma_dual_check, pairing_identity_check)
-from .classes import (CompositeTarget, characterize,
+                    gamma_dual_check, pairing_identity_check, pairing_identity_sides)
+from .classes import (CompositeTarget, characterize, reduction_roundtrip_sides,
                       verify_reduction_roundtrip)
 from .errors import SumkitError, SpecParseError
 from .minilang import (parse_family_spec, parse_matrix_spec, parse_schedule_spec,
@@ -407,7 +409,7 @@ def _cmd_pairing_check(args, sched) -> _CommandResult:
     y, y_canon = _sequence(args.y, mode)
     space = SpaceName(args.space)
     status, outputs = _identity_check(
-        lambda n: pairing_identity_check(a, y, wp, space, n), args.n, mode,
+        pairing_identity_sides(a, y, wp, space), args.n, mode,
         sched.stabilization_tol)
     return _CommandResult(
         inputs={"space": args.space, "a": a_canon, "y": y_canon,
@@ -425,7 +427,7 @@ def _cmd_reduction_check(args, sched) -> _CommandResult:
     y, y_canon = _sequence(args.y, mode)
     op, matrix_canon, warnings = _matrix(args.matrix, mode, full=args.full)
     status, outputs = _identity_check(
-        lambda n: verify_reduction_roundtrip(op, wp, y, n), args.n, mode,
+        reduction_roundtrip_sides(op, wp, y), args.n, mode,
         sched.stabilization_tol)
     return _CommandResult(
         inputs={"matrix": matrix_canon, "y": y_canon, "n": args.n, **wcanon},

@@ -23,11 +23,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag, StatKind,
                    TruncationSchedule, column_scan, combine_conjunctive,
-                   gray_subset_search, judge_trace, space_evidence)
+                   gray_subset_search, judge_trace, running_sums, space_evidence)
 from .operators import TriangleKind, TriangleOperator, WeightPair
 from .spaces import SpaceName, domain_space, embed_from_l1
 
@@ -71,7 +71,7 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
 
 
 def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
-                 zero: Scalar, d: Optional[list] = None) -> Callable[[int], list]:
+                 zero: Scalar) -> Callable[[int], list]:
     """Rows of the pairing construction for the coefficients ``c``.
 
     Row J is ``[lead_k + d_k * (P_J - P_k) for k < J] + [lead_J]`` with
@@ -84,11 +84,10 @@ def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
     reduction of a matrix row ``c`` with support J.  ``lead``, ``d`` and
     ``P`` are kept between rows; each new term is computed in the order
     the entry-wise formula reads it along row J, so the first failing
-    weight or coefficient is the one the formula would hit.  A list ``d``
-    may be shared between constructions over the same weights.
+    weight or coefficient is the one the formula would hit.
     """
     lead: list = [None]
-    d = [None] if d is None else d
+    d: list = [None]  # d[k] = wp.recip_uw_diff(k), which ``wp`` also keeps
     P = [zero]
 
     def lead_at(k: int) -> Scalar:
@@ -216,24 +215,37 @@ def beta_dual_check(space, a: LazySequence, wp: WeightPair,
                             witness=kernel_verdict.witness, aux=aux)
 
 
-def pairing_identity_check(a: LazySequence, y: LazySequence, wp: WeightPair,
-                           space, n: int) -> tuple[Scalar, Scalar]:
-    """Both sides of the pairing identity at row ``n``:
+def pairing_identity_sides(a: LazySequence, y: LazySequence, wp: WeightPair,
+                           space) -> Callable[[int], tuple[Scalar, Scalar]]:
+    """Both sides of the pairing identity, row by row: ``sides(n)`` gives
 
     left  = sum_{k<=n} a_k x_k  with x the embedded inverse image of y,
     right = row n of the beta kernel applied to y.
 
     The two sides are computed along independent code paths and must agree
-    exactly in exact mode.
+    exactly in exact mode.  The inverse image, the left-hand running sums
+    and the kernel rows are built once and shared by all rows; each side
+    is summed from zero, left to right, as a fresh evaluation of row n
+    would, so its value and its first error do not depend on earlier rows.
     """
     name = SpaceName(space)
-    S = domain_space(name, wp)
-    x = embed_from_l1(S, y)
-    lhs = x.zero()
-    for k in range(1, n + 1):
-        lhs += a.at(k) * x.at(k)
-    M = dual_kernel_matrix(_beta_kind(name), a, wp)
-    rhs = M.zero()
-    for k in range(1, n + 1):
-        rhs += M.entry(n, k) * y.at(k)
-    return lhs, rhs
+    x = embed_from_l1(domain_space(name, wp), y)
+    lhs = running_sums(lambda k: a.at(k) * x.at(k), x.zero())
+    zero: Scalar = Fraction(0) if a.exact and wp.exact else 0.0
+    rows = pairing_rows(a.at, wp, name is SpaceName.INT_BV, zero)
+
+    def sides(n: int) -> tuple[Scalar, Scalar]:
+        left = lhs(n)
+        right = zero
+        for k, entry in enumerate(rows(n), 1):
+            right += entry * y.at(k)
+        return left, right
+
+    return sides
+
+
+def pairing_identity_check(a: LazySequence, y: LazySequence, wp: WeightPair,
+                           space, n: int) -> tuple[Scalar, Scalar]:
+    """Both sides of the pairing identity at row ``n``; see
+    ``pairing_identity_sides``."""
+    return pairing_identity_sides(a, y, wp, space)(n)

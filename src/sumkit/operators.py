@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -37,10 +37,14 @@ class WeightPair:
 
     Nonzero-ness is checked lazily on access so that rules stay total and
     cheap; a zero term raises InvalidWeightError naming the offending index.
+    The two difference terms are kept once computed; a term that raises is
+    not kept, so it raises again on the next access.
     """
 
     u: LazySequence
     w: LazySequence
+    _w_diffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _recip_diffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -60,11 +64,17 @@ class WeightPair:
 
     def w_forward_diff(self, k: int) -> Scalar:
         """w_k - w_{k+1}."""
-        return self.w_at(k) - self.w_at(k + 1)
+        v = self._w_diffs.get(k)
+        if v is None:
+            v = self._w_diffs[k] = self.w_at(k) - self.w_at(k + 1)
+        return v
 
     def recip_uw_diff(self, k: int) -> Scalar:
         """(1/u_k) * (1/w_k - 1/w_{k+1})."""
-        return (1 / self.u_at(k)) * (1 / self.w_at(k) - 1 / self.w_at(k + 1))
+        v = self._recip_diffs.get(k)
+        if v is None:
+            v = self._recip_diffs[k] = (1 / self.u_at(k)) * (1 / self.w_at(k) - 1 / self.w_at(k + 1))
+        return v
 
     def as_float(self) -> "WeightPair":
         return WeightPair(self.u.as_float(), self.w.as_float())
@@ -468,9 +478,12 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
 
     Requires strictly positive t_k; checked lazily on access.  Row n takes
     the total T_n = A/B first, which checks t_1..t_n in order.  Over exact
-    t_k = a_k/b_k the entry is the integer ratio a_k B / (b_k A), one
-    ``ratio`` per entry, so float mode divides once per entry and never
-    builds the exact row; float weights are divided by the float total.
+    t_k = a_k/b_k the float entry is the integer ratio a_k B / (b_k A), one
+    correctly rounded division per entry that never builds the exact row;
+    the exact entry is the quotient t_k / T_n, which cancels through the
+    gcds of the small a_k, b_k with A, B where ``Fraction(a_k B, b_k A)``
+    would take a gcd of two row-sized integers.  Float weights are divided
+    by the float total.
     """
     def positive(k: int) -> Scalar:
         tk = t.at(k)
@@ -482,7 +495,7 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
 
     def ratio_row(n: int, ratio: Ratio) -> list[Scalar]:
         tot = total(n)
-        if not t.exact:
+        if not t.exact or ratio is Fraction:
             return [t.at(k) / tot for k in range(1, n + 1)]
         num, den = tot.numerator, tot.denominator
         return [ratio(tk.numerator * den, tk.denominator * num)

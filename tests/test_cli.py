@@ -432,6 +432,35 @@ class TestErrorsAndVersion:
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == f"sumkit: {line}\n"
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("argv, line", [
+        (("pairing-check", "--space", "int-bv", "--a", "power:-2", "--y", "harmonic",
+          "--n", "16", "--w", "expr:n-7"), "weight w[7] is zero"),
+        (("pairing-check", "--space", "d-bv", "--a", "power:-2", "--y", "harmonic",
+          "--n", "16", "--u", "expr:n-5"), "weight u[5] is zero"),
+        (("pairing-check", "--space", "int-bv", "--a", "expr:1/(n-4)", "--y", "harmonic",
+          "--n", "16", "--w", "expr:n-7"), "expression '1/(n-4)' divides by zero at n=4"),
+        (("reduction-check", "--matrix", "cesaro", "--y", "harmonic", "--n", "16",
+          "--w", "expr:n-7"), "weight w[7] is zero"),
+        (("reduction-check", "--matrix", "euler:1/3", "--y", "harmonic", "--n", "16",
+          "--u", "expr:n-5"), "weight u[5] is zero"),
+        (("reduction-check", "--matrix", "expr:1/(n-k-3)", "--y", "ones", "--n", "9"),
+         "expression '1/(n-k-3)' divides by zero at n=4, k=1"),
+        (("reduction-check", "--matrix", "expr:1/(n-k-3)", "--y", "harmonic", "--n", "9",
+          "--w", "expr:n-2"), "weight w[2] is zero"),
+        # row 4 reads u_4 before its bad entry (4, 1)
+        (("reduction-check", "--matrix", "expr:1/(n-k-3)", "--y", "ones", "--n", "9",
+          "--u", "expr:n-4"), "weight u[4] is zero"),
+        (("reduction-check", "--matrix", "taylor:1/2", "--y", "ones", "--n", "4"),
+         "reduction roundtrips need a row-finite matrix"),
+    ])
+    def test_consistency_checks_stop_at_the_first_bad_row(self, capsys, argv, line, mode):
+        # the rows are walked in order over shared state; the error is the
+        # one a fresh evaluation of the first failing row raises
+        code, text = run_cli(*argv, "--mode", mode)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"sumkit: {line}\n"
+
     @pytest.mark.parametrize("argv, line", [
         (("class-check", "--mode", "float", "--table", "1", "--source", "l1",
           "--target", "l1", "--matrix", "expr:10^307*(n-2*k)", "--schedule", "8,16,32,64"),

@@ -13,7 +13,11 @@ from int-bv into the ``cesaro`` domain; the ``taylor:1/2`` domain target
 with ``--row-bound 40``; and three float checks that pin the float rows
 of the classical matrices past the default schedule: l1 into bs on
 ``riesz:harmonic`` and linf into l1 on ``cesaro``, both on the schedule
-64,128,256,512, and table 1 l1 into c0s on ``euler:3/7``.
+64,128,256,512, and table 1 l1 into c0s on ``euler:3/7``; and four
+consistency checks long enough to walk rows past the first few hundred:
+float ``pairing-check`` on d-bv (n = 300) and exact on int-bv (n = 96),
+float ``reduction-check`` on ``euler:1/3`` under ``--u geometric:1/2``
+(n = 300) and exact on ``riesz:harmonic`` (n = 64).
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

@@ -62,6 +62,28 @@ class TestWeightPair:
         assert WP_HARM.w_forward_diff(2) == Fraction(1, 2) - Fraction(1, 3)
         assert WP_HARM.recip_uw_diff(2) == -1  # 1 * (2 - 3)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_diffs_are_kept_and_a_failing_one_raises_again(self, exact):
+        def weight(*terms):
+            seq = LazySequence.from_terms(terms)
+            return seq if exact else seq.as_float()
+
+        wp = WeightPair(weight(1, 0, 3, 5), weight(2, 4, 0, 7, 1))
+        for diff, k, which, index in [(wp.w_forward_diff, 2, "w", 3),
+                                      (wp.recip_uw_diff, 2, "u", 2),
+                                      (wp.recip_uw_diff, 3, "w", 3)]:
+            for _ in range(2):
+                with pytest.raises(InvalidWeightError) as exc:
+                    diff(k)
+                assert (exc.value.which, exc.value.index) == (which, index)
+        u4, w4, w5 = wp.u.at(4), wp.w.at(4), wp.w.at(5)
+        assert wp.w_forward_diff(4) == w4 - w5
+        assert wp.recip_uw_diff(4) == (1 / u4) * (1 / w4 - 1 / w5)
+        # kept, not recomputed
+        assert wp.w_forward_diff(4) is wp.w_forward_diff(4)
+        assert wp.recip_uw_diff(4) is wp.recip_uw_diff(4)
+        assert WeightPair(wp.u, wp.w) == wp
+
     def test_as_float(self):
         fp = WP_HARM.as_float()
         assert not fp.exact
@@ -693,6 +715,18 @@ class TestIntegerRatioRows:
         for n in range(1, 65):
             total += 1.0 / n
             assert R.row(n, n) == [(1.0 / k) / total for k in range(1, n + 1)], n
+
+    @pytest.mark.parametrize("weights", ["harmonic", "power:-2", "3,1/2,4,1,5/3"])
+    def test_exact_rows_are_the_quotients_by_the_total(self, weights):
+        t = parse_weight_spec(weights)[0]
+        R = riesz_matrix(t)
+        total = Fraction(0)
+        for n in range(1, 1025):
+            total += t.at(n)
+            if n <= 64 or n == 1024:
+                row = R.row(n, n)
+                assert all(type(v) is Fraction for v in row), n
+                assert row == [t.at(k) / total for k in range(1, n + 1)], n
 
     @pytest.mark.parametrize("weights", ["1,0,2", "1,2,-1,3", "2,3,5,0", "-1"])
     def test_a_nonpositive_riesz_weight_raises_alike_in_both_modes(self, weights):
