@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
-from typing import Callable, Optional
+from operator import add
+from typing import Callable, NamedTuple, Optional
 
 from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceTag,
                    StatKind, TruncationSchedule, Verdict, _growth_window, _to_float,
@@ -97,15 +99,6 @@ def reduce_target_int_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperato
 def reduce_target_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
     return matrix_product(differentiated_triangle(wp), A,
                           label=f"reduce-target-d-bv({A.label})")
-
-
-_TRANSFORMS = {
-    TransformTag.NONE: lambda A, wp: A,
-    TransformTag.REDUCE_SOURCE_INT_BV: reduce_source_int_bv,
-    TransformTag.REDUCE_SOURCE_D_BV: reduce_source_d_bv,
-    TransformTag.REDUCE_TARGET_INT_BV: reduce_target_int_bv,
-    TransformTag.REDUCE_TARGET_D_BV: reduce_target_d_bv,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +336,8 @@ def _greedy_rect(fb, s: int) -> tuple[float, dict]:
             rowsum = candidate
     pos_rows = [n for n, v in enumerate(rowsum, 1) if v > 0.0]
     neg_rows = [n for n, v in enumerate(rowsum, 1) if v < 0.0]
-    pos = sum(rowsum[n - 1] for n in pos_rows)
-    neg = -sum(rowsum[n - 1] for n in neg_rows)
+    pos = reduce(add, (rowsum[n - 1] for n in pos_rows), 0.0)
+    neg = -reduce(add, (rowsum[n - 1] for n in neg_rows), 0.0)
     rows = pos_rows if pos >= neg else neg_rows
     return best, {"rows": rows[:24], "cols": chosen[:24], "method": "greedy"}
 
@@ -382,6 +375,41 @@ _INTO_L1_RECIPES = {
 }
 
 
+class _Table(NamedTuple):
+    """One of the paper's six tables: it fixes one endpoint of the class
+    (``side`` "out of" fixes the source, "into" the target), reduces the
+    matrix with ``reduce`` and lists the conditions per free endpoint."""
+
+    side: str
+    endpoint: str
+    transform: TransformTag
+    reduce: Callable[[TriangleOperator, WeightPair], TriangleOperator]
+    recipes: dict
+
+    def split(self, src: str, tgt: str) -> tuple[str, str]:
+        """The (fixed, free) endpoint names of the class (src : tgt)."""
+        return (src, tgt) if self.side == "out of" else (tgt, src)
+
+
+def _unreduced(A: TriangleOperator, wp) -> TriangleOperator:
+    return A
+
+
+# in the order of precedence of an inferred table: the source decides first
+_TABLES = {
+    1: _Table("out of", "l1", TransformTag.NONE, _unreduced, _L1_TARGET_RECIPES),
+    3: _Table("out of", "int-bv", TransformTag.REDUCE_SOURCE_INT_BV, reduce_source_int_bv,
+              _DOMAIN_TARGET_RECIPES),
+    4: _Table("out of", "d-bv", TransformTag.REDUCE_SOURCE_D_BV, reduce_source_d_bv,
+              _DOMAIN_TARGET_RECIPES),
+    2: _Table("into", "l1", TransformTag.NONE, _unreduced, _INTO_L1_RECIPES),
+    5: _Table("into", "int-bv", TransformTag.REDUCE_TARGET_INT_BV, reduce_target_int_bv,
+              _INTO_L1_RECIPES),
+    6: _Table("into", "d-bv", TransformTag.REDUCE_TARGET_D_BV, reduce_target_d_bv,
+              _INTO_L1_RECIPES),
+}
+
+
 @dataclass(frozen=True)
 class Recipe:
     table: int
@@ -394,53 +422,23 @@ def table_recipe(table: int, source, target) -> Recipe:
     the numbered recipe table; raises UnsupportedClassError otherwise."""
     src = _endpoint_name(source)
     tgt = _endpoint_name(target)
-
-    def fail(detail=""):
-        raise UnsupportedClassError(src, tgt, detail or f"not covered by table {table}")
-
-    if table == 1:
-        if src != "l1":
-            fail("table 1 characterizes classes out of l1")
-        tag = _as_tag(tgt)
-        if tag is None or tag not in _L1_TARGET_RECIPES:
-            fail()
-        return Recipe(1, TransformTag.NONE, tuple(_L1_TARGET_RECIPES[tag]))
-    if table == 2:
-        if tgt != "l1":
-            fail("table 2 characterizes classes into l1")
-        tag = _as_tag(src)
-        if tag is None or tag not in _INTO_L1_RECIPES:
-            fail()
-        return Recipe(2, TransformTag.NONE, tuple(_INTO_L1_RECIPES[tag]))
-    if table in (3, 4):
-        want = "int-bv" if table == 3 else "d-bv"
-        if src != want:
-            fail(f"table {table} characterizes classes out of {want}")
-        tag = _as_tag(tgt)
-        if tag is None or tag not in _DOMAIN_TARGET_RECIPES:
-            fail()
-        transform = (TransformTag.REDUCE_SOURCE_INT_BV if table == 3
-                     else TransformTag.REDUCE_SOURCE_D_BV)
-        return Recipe(table, transform, tuple(_DOMAIN_TARGET_RECIPES[tag]))
-    if table in (5, 6):
-        want = "int-bv" if table == 5 else "d-bv"
-        if tgt != want:
-            fail(f"table {table} characterizes classes into {want}")
-        tag = _as_tag(src)
-        if tag is None or tag not in _INTO_L1_RECIPES:
-            fail()
-        transform = (TransformTag.REDUCE_TARGET_INT_BV if table == 5
-                     else TransformTag.REDUCE_TARGET_D_BV)
-        return Recipe(table, transform, tuple(_INTO_L1_RECIPES[tag]))
-    raise UnsupportedClassError(src, tgt, f"unknown table {table}")
+    entry = _TABLES.get(table)
+    if entry is None:
+        raise UnsupportedClassError(src, tgt, f"unknown table {table}")
+    fixed, free = entry.split(src, tgt)
+    if fixed != entry.endpoint:
+        raise UnsupportedClassError(
+            src, tgt, f"table {table} characterizes classes {entry.side} {entry.endpoint}")
+    conditions = entry.recipes.get(_as_tag(free))
+    if conditions is None:
+        raise UnsupportedClassError(src, tgt, f"not covered by table {table}")
+    return Recipe(table, entry.transform, tuple(conditions))
 
 
 def _endpoint_name(endpoint) -> str:
     if isinstance(endpoint, CompositeTarget):
         return endpoint.describe()
-    if isinstance(endpoint, SpaceTag):
-        return endpoint.value
-    if isinstance(endpoint, SpaceName):
+    if isinstance(endpoint, (SpaceTag, SpaceName)):
         return endpoint.value
     return str(endpoint).lower()
 
@@ -579,7 +577,9 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
     notes: list[str] = []
 
     if isinstance(target, CompositeTarget):
-        if table is not None and table != (3 if src == "int-bv" else 4):
+        # a bounded target out of a domain space: table 3 or 4
+        chosen = 3 if src == "int-bv" else 4
+        if table is not None and table != chosen:
             raise UnsupportedClassError(src, target.describe(),
                                         "composite targets fix their own table")
         if src not in ("int-bv", "d-bv"):
@@ -593,9 +593,8 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
                 "this composite generator has infinite rows; pass row_bound")
         composed = matrix_product(G, A, left_row_bound=row_bound,
                                   label=f"{G.label}*{A.label}")
-        chosen = 3 if src == "int-bv" else 4
         recipe = table_recipe(chosen, src, SpaceTag.LINF)
-        matrix_for_conditions = _TRANSFORMS[recipe.transform](composed, wp)
+        matrix_for_conditions = _TABLES[chosen].reduce(composed, wp)
         prereq_matrix = composed
         tgt_name = target.describe()
         notes.append("composite target: generator composed on the target side, "
@@ -608,7 +607,7 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
         recipe = table_recipe(chosen, src, tgt_name)
         if recipe.transform is not TransformTag.NONE and wp is None:
             raise UnsupportedClassError(src, tgt_name, "weights required")
-        matrix_for_conditions = _TRANSFORMS[recipe.transform](A, wp)
+        matrix_for_conditions = _TABLES[chosen].reduce(A, wp)
         prereq_matrix = A
 
     results = []
@@ -633,18 +632,10 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
 
 
 def _pick_table(src: str, tgt: str) -> int:
-    if src == "l1":
-        return 1
-    if src == "int-bv":
-        return 3
-    if src == "d-bv":
-        return 4
-    if tgt == "l1":
-        return 2
-    if tgt == "int-bv":
-        return 5
-    if tgt == "d-bv":
-        return 6
+    """The first table, in ``_TABLES`` order, whose fixed endpoint the pair has."""
+    for number, entry in _TABLES.items():
+        if entry.split(src, tgt)[0] == entry.endpoint:
+            return number
     raise UnsupportedClassError(src, tgt, "no table covers this pair")
 
 

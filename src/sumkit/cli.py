@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .core import (LazySequence, TruncationSchedule, Verdict, scalar_to_json,
+from .core import (LazySequence, SpaceTag, TruncationSchedule, Verdict, scalar_to_json,
                    _to_float)
 # pairing_identity_check and verify_reduction_roundtrip are not called here;
 # they stay bound because perfbench/tracing.py wraps them by these names
@@ -29,10 +29,9 @@ from .classes import (CompositeTarget, characterize, reduction_roundtrip_sides,
 from .errors import SumkitError, SpecParseError
 from .minilang import (parse_family_spec, parse_matrix_spec, parse_schedule_spec,
                        parse_sequence_spec, parse_weight_spec)
-from .operators import (WeightPair, integrated_inverse, differentiated_inverse,
-                        apply_triangle, invert_triangle, basis_column,
+from .operators import (WeightPair, apply_triangle, invert_triangle, basis_column,
                         basis_tabulated_discrepancies)
-from .spaces import SpaceName, domain_norm, domain_space
+from .spaces import SpaceName, domain_norm, domain_space, embed_from_l1
 
 SCHEMA_VERSION = 1
 TOOL = "sumkit"
@@ -47,7 +46,8 @@ _EXIT_CODES = {
     "MISMATCH": 2,
 }
 
-_CLASSICAL_TARGETS = {"l1", "linf", "c", "c0", "bs", "cs", "c0s", "int-bv", "d-bv"}
+_SPACES = tuple(name.value for name in SpaceName)
+_CLASSICAL_TARGETS = {tag.value for tag in SpaceTag} | set(_SPACES)
 # matrix families whose bounded domain is a composite --target
 _COMPOSITE_FAMILIES = {"cesaro", "euler", "taylor", "riesz"}
 # integer flags that count from 1 wherever a command has them
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transform", help="apply a matrix or a domain triangle")
     common(sp, "exact")
     g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--space", choices=("int-bv", "d-bv"))
+    g.add_argument("--space", choices=_SPACES)
     g.add_argument("--matrix", metavar="MSPEC")
     sp.add_argument("--x", required=True, metavar="SSPEC", help="input sequence")
     sp.add_argument("--n", type=int, default=8, help="how many output terms")
@@ -100,27 +100,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("inverse", help="apply the inverse of a triangle")
     common(sp, "exact")
     g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--space", choices=("int-bv", "d-bv"))
+    g.add_argument("--space", choices=_SPACES)
     g.add_argument("--matrix", metavar="MSPEC")
     sp.add_argument("--y", required=True, metavar="SSPEC", help="image sequence")
     sp.add_argument("--n", type=int, default=8, help="how many output terms")
 
     sp = sub.add_parser("norm", help="domain norm of a sequence at a truncation")
     common(sp, "exact")
-    sp.add_argument("--space", choices=("int-bv", "d-bv"), required=True)
+    sp.add_argument("--space", choices=_SPACES, required=True)
     sp.add_argument("--x", required=True, metavar="SSPEC")
     sp.add_argument("--n", type=int, default=None,
                     help="truncation size (default: largest schedule size)")
 
     sp = sub.add_parser("basis", help="a column of the coordinate basis")
     common(sp, "exact")
-    sp.add_argument("--space", choices=("int-bv", "d-bv"), required=True)
+    sp.add_argument("--space", choices=_SPACES, required=True)
     sp.add_argument("--k", type=int, required=True, help="basis index (from 1)")
     sp.add_argument("--n", type=int, default=8, help="how many terms to print")
 
     sp = sub.add_parser("dual-check", help="dual-space membership evidence")
     common(sp, "float", verdictish=True)
-    sp.add_argument("--space", choices=("int-bv", "d-bv"), required=True)
+    sp.add_argument("--space", choices=_SPACES, required=True)
     sp.add_argument("--kind", choices=("alpha", "beta", "gamma"), required=True)
     sp.add_argument("--a", required=True, metavar="SSPEC")
 
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pairing-check",
                         help="compare the two routes through the dual pairing")
     common(sp, "exact")
-    sp.add_argument("--space", choices=("int-bv", "d-bv"), required=True)
+    sp.add_argument("--space", choices=_SPACES, required=True)
     sp.add_argument("--a", required=True, metavar="SSPEC")
     sp.add_argument("--y", required=True, metavar="SSPEC")
     sp.add_argument("--n", type=int, default=16, help="check indices 1..n")
@@ -279,10 +279,7 @@ def _cmd_inverse(args, sched) -> _CommandResult:
     seq, seq_canon = _sequence(args.y, mode)
     warnings: list[str] = []
     if args.space is not None:
-        if args.space == "int-bv":
-            x = integrated_inverse(wp, seq)
-        else:
-            x = differentiated_inverse(wp, seq)
+        x = embed_from_l1(domain_space(SpaceName(args.space), wp), seq)
         inputs = {"space": args.space, "y": seq_canon, "n": args.n, **wcanon}
         method = {"operation": "closed-form-inverse"}
     else:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import ScheduleError
@@ -278,6 +279,11 @@ class SpaceTag(Enum):
     C0S = "c0s"
 
 
+# schedule text option -> (TruncationSchedule field, value type)
+_SCHEDULE_OPTIONS = {"tol": ("stabilization_tol", float), "ratio": ("growth_ratio", float),
+                     "steps": ("growth_steps", int)}
+
+
 @dataclass(frozen=True)
 class TruncationSchedule:
     """Increasing evaluation sizes plus the decision thresholds.
@@ -329,24 +335,20 @@ class TruncationSchedule:
             sizes = tuple(int(tok) for tok in parts[0].split(",") if tok.strip())
         except ValueError as exc:
             raise ScheduleError(f"bad schedule sizes in {parts[0]!r}") from exc
-        tol, ratio, steps = 1e-9, 1.5, 3
+        options = {}
         for opt in parts[1:]:
             if "=" not in opt:
                 raise ScheduleError(f"bad schedule option {opt!r}")
             key, val = opt.split("=", 1)
             key = key.strip().lower()
+            if key not in _SCHEDULE_OPTIONS:
+                raise ScheduleError(f"unknown schedule option {key!r}")
+            name, kind = _SCHEDULE_OPTIONS[key]
             try:
-                if key == "tol":
-                    tol = float(val)
-                elif key == "ratio":
-                    ratio = float(val)
-                elif key == "steps":
-                    steps = int(val)
-                else:
-                    raise ScheduleError(f"unknown schedule option {key!r}")
+                options[name] = kind(val)
             except ValueError as exc:
                 raise ScheduleError(f"bad value for schedule option {key!r}") from exc
-        return cls(sizes, tol, ratio, steps)
+        return cls(sizes, **options)
 
     def to_dict(self) -> dict:
         return {
@@ -534,88 +536,45 @@ def column_scan(A, sched: TruncationSchedule, *,
 # ---------------------------------------------------------------------------
 
 
-def _osc(window: list[Scalar]) -> Scalar:
-    return max(window) - min(window)
-
-
 def space_evidence(x: LazySequence, tag: SpaceTag, sched: TruncationSchedule) -> ConditionVerdict:
     """Truncation evidence that ``x`` belongs to the tagged classical space.
 
-    Statistics per tag: L1 partial sums of |x_k|; LINF running max |x_k|;
-    BS running max |partial sum|; C / CS the oscillation (max - min) of the
-    terms / partial sums over the last half of the window; C0 / C0S
-    additionally require the tail magnitudes / partial sums themselves to
-    vanish, so their defect is the max of oscillation and magnitude.
+    L1, LINF, C and C0 read the terms of ``x``; BS, CS and C0S read its
+    partial sums.  Statistics per tag: L1 the running sum of |x_k|; LINF /
+    BS the running max of the magnitudes; C / CS the oscillation (max -
+    min) over the last half of the window; C0 / C0S additionally require
+    the magnitudes there to vanish, so their defect is the max of
+    oscillation and magnitude.
     """
-    n_max = sched.max_size
-    xs = x.prefix(n_max)
-    abs_xs = [abs(v) for v in xs]
-    sums: list[Scalar] = []
-    acc = x.zero()
-    for v in xs:
-        acc = acc + v
-        sums.append(acc)
-    abs_sums = [abs(s) for s in sums]
+    series = x.prefix(sched.max_size)
+    if tag in (SpaceTag.BS, SpaceTag.CS, SpaceTag.C0S):
+        series = list(accumulate(series, initial=x.zero()))[1:]
+    mags = [abs(v) for v in series]
 
-    trace: list[tuple[int, Scalar]] = []
     witness: Optional[dict] = None
     if tag is SpaceTag.L1:
         kind = StatKind.SUP
-        acc = x.zero()
-        stats = []
-        for i, v in enumerate(abs_xs, start=1):
-            acc = acc + v
-            stats.append(acc)
-        for s in sched.sizes:
-            trace.append((s, stats[s - 1]))
-        prev = None
-        for s, v in trace:
-            if prev is not None and v < prev:
-                raise AssertionError("L1 statistic must be non-decreasing")
-            prev = v
-    elif tag is SpaceTag.LINF:
+        stats = list(accumulate(mags, initial=x.zero()))
+        trace = [(s, stats[s]) for s in sched.sizes]
+    elif tag in (SpaceTag.LINF, SpaceTag.BS):
         kind = StatKind.SUP
-        for s in sched.sizes:
-            window = abs_xs[:s]
-            m = max(window)
-            trace.append((s, m))
-        witness = {"index": 1 + abs_xs[:n_max].index(max(abs_xs[:n_max]))}
-    elif tag is SpaceTag.BS:
-        kind = StatKind.SUP
-        for s in sched.sizes:
-            trace.append((s, max(abs_sums[:s])))
-        witness = {"index": 1 + abs_sums.index(max(abs_sums))}
-        prev = None
-        for s, v in trace:
-            if prev is not None and v < prev:
-                raise AssertionError("BS statistic must be non-decreasing")
-            prev = v
-    elif tag in (SpaceTag.C, SpaceTag.C0):
-        kind = StatKind.DEFECT
-        for s in sched.sizes:
-            window = xs[s // 2: s]
-            d = _osc(window)
-            if tag is SpaceTag.C0:
-                mag = max(abs_xs[s // 2: s])
-                d = max(d, mag)
-            trace.append((s, d))
-    elif tag in (SpaceTag.CS, SpaceTag.C0S):
-        kind = StatKind.DEFECT
-        for s in sched.sizes:
-            window = sums[s // 2: s]
-            d = _osc(window)
-            if tag is SpaceTag.C0S:
-                mag = max(abs_sums[s // 2: s])
-                d = max(d, mag)
-            trace.append((s, d))
-    else:  # pragma: no cover - exhaustive over SpaceTag
-        raise ValueError(f"unknown space tag {tag!r}")
-
-    if tag in (SpaceTag.L1, SpaceTag.LINF, SpaceTag.C, SpaceTag.C0):
-        scale = max(1.0, max((_to_float(v) for v in abs_xs), default=1.0))
+        trace = [(s, max(mags[:s])) for s in sched.sizes]
+        witness = {"index": 1 + mags.index(max(mags))}
     else:
-        scale = max(1.0, max((_to_float(v) for v in abs_sums), default=1.0))
+        kind = StatKind.DEFECT
+        trace = []
+        for s in sched.sizes:
+            window = series[s // 2: s]
+            d = max(window) - min(window)
+            if tag in (SpaceTag.C0, SpaceTag.C0S):
+                d = max(d, max(mags[s // 2: s]))
+            trace.append((s, d))
+    if tag in (SpaceTag.L1, SpaceTag.BS):
+        for (_, prev), (_, v) in zip(trace, trace[1:]):
+            if v < prev:
+                raise AssertionError(f"{tag.name} statistic must be non-decreasing")
 
+    scale = max(1.0, max((_to_float(v) for v in mags), default=1.0))
     status, routes = judge_trace([v for _, v in trace], kind, sched, scale=scale)
     aux = {"space": tag.value, "routes": routes}
     return ConditionVerdict(status=status, trace=trace, witness=witness, aux=aux)

@@ -28,7 +28,7 @@ from typing import Callable
 from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag, StatKind,
                    TruncationSchedule, column_scan, combine_conjunctive,
                    gray_subset_search, judge_trace, running_sums, space_evidence)
-from .operators import TriangleKind, TriangleOperator, WeightPair
+from .operators import TriangleKind, TriangleOperator, WeightPair, uw_divisor
 from .spaces import SpaceName, domain_space, embed_from_l1
 
 
@@ -61,7 +61,7 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
         def build_row(n: int) -> list:
             # d_k a_n for k < n, then a_n / (u_n w_n), in the entry formula's read order
             cores = [wp.recip_uw_diff(k) * a.at(n) for k in range(1, n)]
-            cores.append(a.at(n) / (wp.u_at(n) * wp.w_at(n)))
+            cores.append(a.at(n) / uw_divisor(wp.u_at(n) * wp.w_at(n), n))
             return [c / n for c in cores] if integrated else [c * n for c in cores]
     else:
         build_row = pairing_rows(a.at, wp, kind is DualMatrixKind.BETA_INT_BV,
@@ -92,8 +92,8 @@ def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
 
     def lead_at(k: int) -> Scalar:
         if integrated:
-            return c(k) / (k * wp.u_at(k) * wp.w_at(k))
-        return k * c(k) / (wp.u_at(k) * wp.w_at(k))
+            return c(k) / uw_divisor(k * wp.u_at(k) * wp.w_at(k), k)
+        return k * c(k) / uw_divisor(wp.u_at(k) * wp.w_at(k), k)
 
     def row(J: int) -> list:
         if J < 1:
@@ -127,23 +127,13 @@ def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
 # ---------------------------------------------------------------------------
 
 
-def _alpha_kind(space) -> DualMatrixKind:
-    return (DualMatrixKind.ALPHA_INT_BV if SpaceName(space) is SpaceName.INT_BV
-            else DualMatrixKind.ALPHA_D_BV)
-
-
-def _beta_kind(space) -> DualMatrixKind:
-    return (DualMatrixKind.BETA_INT_BV if SpaceName(space) is SpaceName.INT_BV
-            else DualMatrixKind.BETA_D_BV)
-
-
 def _row_subset_cross_check(M: TriangleOperator, depth: int = 12) -> dict:
     """Exhaustive row-subset statistic max_S sum_k |sum_{n in S} M(n,k)|
     over S inside the first ``depth`` rows; a bounded cross-check of the
     subset-family form of the alpha condition."""
     zero = M.zero()
     value, rows, _ = gray_subset_search([M.row(n, n) for n in range(1, depth + 1)], zero,
-                                        lambda acc: sum(map(abs, acc), zero))
+                                        lambda acc: reduce(add, map(abs, acc), zero))
     return {"value": value, "rows": rows, "depth": depth}
 
 
@@ -151,7 +141,7 @@ def alpha_dual_check(space, a: LazySequence, wp: WeightPair,
                      sched: TruncationSchedule) -> ConditionVerdict:
     """Column-sum statistic of the alpha kernel: finite iff ``a`` is an
     alpha-dual element at truncation scale."""
-    M = dual_kernel_matrix(_alpha_kind(space), a, wp)
+    M = dual_kernel_matrix(DualMatrixKind(f"alpha-{SpaceName(space).value}"), a, wp)
     trace, witness_col = column_scan(M, sched, absolute=True)
     status, routes = judge_trace([v for _, v in trace], StatKind.SUP, sched)
     cross = _row_subset_cross_check(M)
@@ -189,7 +179,7 @@ def gamma_dual_check(space, a: LazySequence, wp: WeightPair,
                      sched: TruncationSchedule) -> ConditionVerdict:
     """Row-sum supremum of the beta kernel alone: bounded partial pairing
     sums (the gamma-dual question)."""
-    kind = _beta_kind(space)
+    kind = DualMatrixKind(f"beta-{SpaceName(space).value}")
     trace, witness_row = _beta_statistic(kind, a, wp, sched)
     status, routes = judge_trace([v for _, v in trace], StatKind.SUP, sched)
     aux = {

@@ -185,6 +185,8 @@ def _fmt(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 _UNIT_RE = re.compile(r"^e(\d+)$")
+# the sequences named by a bare word
+_PRESETS = {"ones": ones, "zeros": zeros, "harmonic": harmonic, "alternating": alternating}
 
 
 def _preset_sequence(text: str) -> Optional[tuple[LazySequence, str]]:
@@ -195,14 +197,8 @@ def _preset_sequence(text: str) -> Optional[tuple[LazySequence, str]]:
         if idx < 1:
             raise SpecParseError("unit sequences are indexed from 1")
         return LazySequence.unit(idx), f"e{idx}"
-    if body == "ones":
-        return ones(), "ones"
-    if body == "zeros":
-        return zeros(), "zeros"
-    if body == "harmonic":
-        return harmonic(), "harmonic"
-    if body == "alternating":
-        return alternating(), "alternating"
+    if body in _PRESETS:
+        return _PRESETS[body](), body
     if body.startswith("power:"):
         p = body.split(":", 1)[1]
         try:

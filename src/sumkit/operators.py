@@ -84,6 +84,15 @@ class WeightPair:
         return cls(ones(), ones())
 
 
+def uw_divisor(product: Scalar, k: int) -> Scalar:
+    """``product``, the divisor u_k w_k (times a factor) as the caller
+    computed it, refused when it is zero: a float product can underflow
+    although neither weight is zero."""
+    if product == 0:
+        raise InvalidWeightError("u", k, f"times w[{k}] underflows to zero")
+    return product
+
+
 class TriangleKind(Enum):
     STRICT_TRIANGLE = "strict-triangle"
     ROW_EVALUABLE = "row-evaluable"
@@ -345,7 +354,7 @@ def _inverse_core(wp: WeightPair, y: LazySequence):
     pref = running_sums(lambda j: wp.recip_uw_diff(j) * y.at(j), zero)
 
     def core(k: int) -> Scalar:
-        return pref(k - 1) + y.at(k) / (wp.u_at(k) * wp.w_at(k))
+        return pref(k - 1) + y.at(k) / uw_divisor(wp.u_at(k) * wp.w_at(k), k)
 
     return core, exact
 
@@ -380,11 +389,9 @@ def basis_column(space: str, wp: WeightPair, k: int) -> LazySequence:
     """Column ``k`` of the inverse triangle: the unique solution of
     ``T s = e^(k)``, computed by the closed-form inverse (tests keep
     back-substitution as its oracle)."""
-    from .spaces import SpaceName  # local import to avoid a cycle
+    from .spaces import domain_space, embed_from_l1  # local import to avoid a cycle
 
-    inverse = (integrated_inverse if SpaceName(space) is SpaceName.INT_BV
-               else differentiated_inverse)
-    return inverse(wp, LazySequence.unit(k, exact=wp.exact))
+    return embed_from_l1(domain_space(space, wp), LazySequence.unit(k, exact=wp.exact))
 
 
 def basis_column_tabulated(space: str, wp: WeightPair, k: int) -> LazySequence:

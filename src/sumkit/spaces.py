@@ -35,11 +35,16 @@ class DomainSpace:
     base: SpaceTag = SpaceTag.L1
 
 
+# each space's defining triangle and its closed-form inverse
+_TRIANGLES = {
+    SpaceName.INT_BV: (integrated_triangle, integrated_inverse),
+    SpaceName.D_BV: (differentiated_triangle, differentiated_inverse),
+}
+
+
 def domain_space(name, wp: WeightPair) -> DomainSpace:
     name = SpaceName(name)
-    if name is SpaceName.INT_BV:
-        return DomainSpace(name, wp, integrated_triangle(wp))
-    return DomainSpace(name, wp, differentiated_triangle(wp))
+    return DomainSpace(name, wp, _TRIANGLES[name][0](wp))
 
 
 def domain_norm(space: DomainSpace, x: LazySequence, n: int) -> Scalar:
@@ -62,9 +67,7 @@ def membership_evidence(space: DomainSpace, x: LazySequence,
 
 def embed_from_l1(space: DomainSpace, y: LazySequence) -> LazySequence:
     """The inverse image x with T x = y; the isometry from l1 onto the space."""
-    if space.name is SpaceName.INT_BV:
-        return integrated_inverse(space.weights, y)
-    return differentiated_inverse(space.weights, y)
+    return _TRIANGLES[space.name][1](space.weights, y)
 
 
 def ak_tail_norm(space: DomainSpace, x: LazySequence, m: int, n_eval: int) -> Scalar:

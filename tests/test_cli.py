@@ -398,6 +398,67 @@ class TestErrorsAndVersion:
         (("norm", "--space", "int-bv", "--x", "e1", "--n", "-2"), "--n"),
         (("transform", "--matrix", "expr:1/(n-k)", "--x", "ones", "--n", "4"),
          "expression '1/(n-k)' divides by zero at n=1, k=1"),
+        # the refusals of the recipe tables
+        (("class-check", "--table", "1", "--source", "linf", "--target", "c",
+          "--matrix", "cesaro"),
+         "no recipe for the class (linf : c): table 1 characterizes classes out of l1"),
+        (("class-check", "--table", "1", "--source", "l1", "--target", "c0",
+          "--matrix", "cesaro"),
+         "no recipe for the class (l1 : c0): not covered by table 1"),
+        (("class-check", "--table", "2", "--source", "l1", "--target", "c",
+          "--matrix", "cesaro"),
+         "no recipe for the class (l1 : c): table 2 characterizes classes into l1"),
+        (("class-check", "--table", "3", "--source", "l1", "--target", "c",
+          "--matrix", "cesaro"),
+         "no recipe for the class (l1 : c): table 3 characterizes classes out of int-bv"),
+        (("class-check", "--table", "5", "--source", "bs", "--target", "l1",
+          "--matrix", "cesaro"),
+         "no recipe for the class (bs : l1): table 5 characterizes classes into int-bv"),
+        (("class-check", "--table", "7", "--source", "l1", "--target", "c",
+          "--matrix", "cesaro"),
+         "no recipe for the class (l1 : c): unknown table 7"),
+        (("class-check", "--source", "linf", "--target", "c", "--matrix", "cesaro"),
+         "no recipe for the class (linf : c): no table covers this pair"),
+        (("class-check", "--source", "int-bv", "--target", "l1", "--matrix", "cesaro"),
+         "no recipe for the class (int-bv : l1): not covered by table 3"),
+        (("class-check", "--source", "foo", "--target", "l1", "--matrix", "cesaro"),
+         "no recipe for the class (foo : l1): not covered by table 2"),
+        (("class-check", "--table", "4", "--source", "int-bv", "--target", "cesaro",
+          "--matrix", "identity"),
+         "no recipe for the class (int-bv : cesaro-bounded): "
+         "composite targets fix their own table"),
+        (("class-check", "--table", "4", "--source", "linf", "--target", "cesaro",
+          "--matrix", "identity"),
+         "no recipe for the class (linf : cesaro-bounded): "
+         "composite targets need a domain-space source"),
+        (("class-check", "--source", "l1", "--target", "cesaro", "--matrix", "identity"),
+         "no recipe for the class (l1 : cesaro-bounded): "
+         "composite targets need a domain-space source"),
+        (("class-check", "--source", "int-bv", "--target", "taylor:1/2",
+          "--matrix", "identity"),
+         "this composite generator has infinite rows; pass row_bound"),
+        (("class-check", "--source", "l1", "--target", "foo", "--matrix", "cesaro"),
+         "unknown target space 'foo'"),
+        # a float product u_k w_k that underflows names k
+        (("inverse", "--mode", "float", "--space", "int-bv", "--y", "ones", "--n", "600",
+          "--u", "geometric:1/2", "--w", "geometric:1/2"),
+         "weight u[538] times w[538] underflows to zero"),
+        (("pairing-check", "--mode", "float", "--space", "d-bv", "--a", "geometric:1/2",
+          "--y", "ones", "--n", "1100", "--u", "geometric:1/2", "--w", "geometric:1/2"),
+         "weight u[538] times w[538] underflows to zero"),
+        (("dual-check", "--space", "int-bv", "--kind", "alpha", "--a", "ones",
+          "--u", "geometric:1/2", "--w", "geometric:1/2",
+          "--schedule", "128,256,512,1024"),
+         "weight u[538] times w[538] underflows to zero"),
+        # the int-bv beta lead divides by k u_k w_k, which underflows later
+        (("dual-check", "--space", "int-bv", "--kind", "beta", "--a", "ones",
+          "--u", "geometric:1/2", "--w", "geometric:1/2",
+          "--schedule", "128,256,512,1024"),
+         "weight u[543] times w[543] underflows to zero"),
+        # w_1075 = 2^-1075 rounds to 0.0 by itself
+        (("pairing-check", "--mode", "float", "--space", "int-bv", "--a", "power:-2",
+          "--y", "ones", "--n", "1100", "--u", "ones", "--w", "geometric:1/2"),
+         "weight w[1075] is zero"),
     ])
     def test_bad_input_gives_one_error_line(self, capsys, argv, message):
         code, text = run_cli(*argv)

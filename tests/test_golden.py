@@ -17,7 +17,10 @@ of the classical matrices past the default schedule: l1 into bs on
 consistency checks long enough to walk rows past the first few hundred:
 float ``pairing-check`` on d-bv (n = 300) and exact on int-bv (n = 96),
 float ``reduction-check`` on ``euler:1/3`` under ``--u geometric:1/2``
-(n = 300) and exact on ``riesz:harmonic`` (n = 64).
+(n = 300) and exact on ``riesz:harmonic`` (n = 64); and a float alpha
+dual-check on ``power:-2`` whose row-subset cross-check differs in its
+last digit when the float sums are compensated (as the builtin ``sum`` is
+from CPython 3.12 on).
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

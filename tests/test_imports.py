@@ -36,3 +36,24 @@ def test_a_third_party_import_is_caught():
     tree = ast.parse("import math\nimport numpy as np\n"
                      "def f():\n    from gmpy2 import mpq\n    from . import core\n")
     assert imported_modules(tree) - set(sys.stdlib_module_names) == {"numpy", "gmpy2"}
+
+
+def builtin_sum_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of the calls to the bare name ``sum`` in ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_builtin_sum(path):
+    # CPython 3.12 made float sum() compensated, so a report built on it would
+    # depend on the interpreter; sums are reduce(add, ...), left to right
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = builtin_sum_calls(tree)
+    assert not lines, f"{path.name} calls sum() on lines {lines}"
+
+
+def test_a_sum_call_is_caught():
+    tree = ast.parse("total = sum(map(abs, acc), zero)\ndef partial_sum(x):\n    return x\n")
+    assert builtin_sum_calls(tree) == [1]
