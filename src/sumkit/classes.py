@@ -158,8 +158,8 @@ def _check_entry_sup(A, sched) -> ConditionVerdict:
     for s in sched.sizes:
         for n in range(1, s + 1):
             lo = prev + 1 if n <= prev else 1
-            for k in range(lo, s + 1):
-                v = abs(A.entry(n, k))
+            for k, x in enumerate(A.row(n, s)[lo - 1:], lo):
+                v = abs(x)
                 if v > best:
                     best = v
                     witness = {"row": n, "col": k}
@@ -239,21 +239,30 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
     sign-selection pass over the full truncation.  HOLDS requires the upper
     bound to stabilize; divergence evidence requires the lower bound to
     grow through a growth window.
+
+    Each size reads every row once with ``A.row`` (C22 one column further)
+    and takes its cells from the first column not read at an earlier size.
     """
+    zero = A.zero()
     if difference == 0:
-        entry = A.entry
+        def cells(n: int, lo: int, s: int) -> list:
+            return A.row(n, s)[lo - 1:]
         label = "C20"
     elif difference > 0:
-        entry = lambda n, k: A.entry(n, k) - A.entry(n, k + 1)
+        def cells(n: int, lo: int, s: int) -> list:
+            r = A.row(n, s + 1)
+            return [x - y for x, y in zip(r[lo - 1:], r[lo:])]
         label = "C22"
     else:
-        entry = lambda n, k: A.entry(n, k) - (A.entry(n, k - 1) if k > 1 else A.zero())
+        def cells(n: int, lo: int, s: int) -> list:
+            r = [zero] + A.row(n, s)
+            return [x - y for x, y in zip(r[lo:], r[lo - 1:])]
         label = "C23"
 
     n_max = sched.max_size
     fb = [[0.0] * (n_max + 1)]
     fb.extend([0.0] * (n_max + 1) for _ in range(n_max))
-    upper_acc = A.zero()
+    upper_acc = zero
     prev = 0
     upper_trace: list[tuple[int, Scalar]] = []
     lower_vals: list[float] = []
@@ -262,10 +271,10 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
     for s in sched.sizes:
         for n in range(1, s + 1):
             lo = prev + 1 if n <= prev else 1
-            for k in range(lo, s + 1):
-                v = entry(n, k)
+            fb_n = fb[n]
+            for k, v in enumerate(cells(n, lo, s), lo):
                 upper_acc = upper_acc + abs(v)
-                fb[n][k] = _to_float(v)
+                fb_n[k] = _to_float(v)
         prev = s
         upper_trace.append((s, upper_acc))
 
@@ -522,7 +531,9 @@ def _beta_prerequisite(A: TriangleOperator, wp: WeightPair, space: SpaceName,
     A row's statistic only settles past the row's support (rows of upper
     matrices carry their mass well beyond the row index), so the schedule
     is extended by doublings until its last two sizes clear that bound —
-    otherwise the accumulation phase reads as spurious growth.
+    otherwise the accumulation phase reads as spurious growth.  The beta
+    statistic builds no kernel row past a finite support, so extending the
+    schedule past it costs only the walk of the statistic's weight state.
     """
     rows = min(row_limit, sched.max_size)
     statuses = {}
@@ -578,13 +589,13 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
 
     if isinstance(target, CompositeTarget):
         # a bounded target out of a domain space: table 3 or 4
+        if src not in ("int-bv", "d-bv"):
+            raise UnsupportedClassError(src, target.describe(),
+                                        "composite targets need a domain-space source")
         chosen = 3 if src == "int-bv" else 4
         if table is not None and table != chosen:
             raise UnsupportedClassError(src, target.describe(),
                                         "composite targets fix their own table")
-        if src not in ("int-bv", "d-bv"):
-            raise UnsupportedClassError(src, target.describe(),
-                                        "composite targets need a domain-space source")
         if wp is None:
             raise UnsupportedClassError(src, target.describe(), "weights required")
         G = target.generator()

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Callable
+from typing import Callable, Optional
 
 from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag, StatKind,
                    TruncationSchedule, column_scan, combine_conjunctive,
@@ -71,7 +71,7 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
 
 
 def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
-                 zero: Scalar) -> Callable[[int], list]:
+                 zero: Scalar) -> Callable[..., Optional[list]]:
     """Rows of the pairing construction for the coefficients ``c``.
 
     Row J is ``[lead_k + d_k * (P_J - P_k) for k < J] + [lead_J]`` with
@@ -85,6 +85,8 @@ def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
     ``P`` are kept between rows; each new term is computed in the order
     the entry-wise formula reads it along row J, so the first failing
     weight or coefficient is the one the formula would hit.
+    ``row(J, build=False)`` makes the same reads to advance the kept state
+    to J and returns None without building the row.
     """
     lead: list = [None]
     d: list = [None]  # d[k] = wp.recip_uw_diff(k), which ``wp`` also keeps
@@ -95,13 +97,13 @@ def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
             return c(k) / uw_divisor(k * wp.u_at(k) * wp.w_at(k), k)
         return k * c(k) / uw_divisor(wp.u_at(k) * wp.w_at(k), k)
 
-    def row(J: int) -> list:
+    def row(J: int, build: bool = True) -> Optional[list]:
         if J < 1:
             return []
         if len(lead) == 1:
             lead.append(lead_at(1))
         if J == 1:
-            return [lead[1]]
+            return [lead[1]] if build else None
         if len(d) == 1:
             d.append(wp.recip_uw_diff(1))
         while len(P) <= J:
@@ -114,6 +116,8 @@ def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
                 d.append(wp.recip_uw_diff(k))
         if len(lead) == J:
             lead.append(lead_at(J))
+        if not build:
+            return None
         PJ = P[J]
         out = [lead[k] + d[k] * (PJ - P[k]) for k in range(1, J)]
         out.append(lead[J])
@@ -158,18 +162,30 @@ def alpha_dual_check(space, a: LazySequence, wp: WeightPair,
 def _beta_statistic(kind: DualMatrixKind, a: LazySequence, wp: WeightPair,
                     sched: TruncationSchedule):
     """Running supremum of the absolute row sums of the beta kernel, each
-    row built by ``pairing_rows`` and summed left to right."""
+    row built by ``pairing_rows`` and summed left to right.
+
+    Past the support m of ``a`` no row is built: there P_n = P_m and
+    lead_k = 0, so row n is row m with ``lead_m + d_m * 0`` at m followed
+    by ``d_k * 0`` terms, and its absolute sum is row m's or NaN, neither
+    of which raises the supremum.  The kept state is still advanced row by
+    row, so the weight and coefficient reads, and the first error, are
+    those of the full rows.
+    """
     zero: Scalar = Fraction(0) if a.exact and wp.exact else 0.0
     rows = pairing_rows(a.at, wp, kind is DualMatrixKind.BETA_INT_BV, zero)
+    support = sched.max_size if a.support is None else a.support
     trace: list[tuple[int, Scalar]] = []
     sup = zero
     witness_row = 1
     sizes = set(sched.sizes)
     for n in range(1, sched.max_size + 1):
-        rowsum = reduce(add, map(abs, rows(n)), zero)
-        if rowsum > sup:
-            sup = rowsum
-            witness_row = n
+        if n > support:
+            rows(n, build=False)
+        else:
+            rowsum = reduce(add, map(abs, rows(n)), zero)
+            if rowsum > sup:
+                sup = rowsum
+                witness_row = n
         if n in sizes:
             trace.append((n, sup))
     return trace, witness_row

@@ -431,6 +431,10 @@ class TestErrorsAndVersion:
           "--matrix", "identity"),
          "no recipe for the class (linf : cesaro-bounded): "
          "composite targets need a domain-space source"),
+        (("class-check", "--table", "3", "--source", "linf", "--target", "cesaro",
+          "--matrix", "identity"),
+         "no recipe for the class (linf : cesaro-bounded): "
+         "composite targets need a domain-space source"),
         (("class-check", "--source", "l1", "--target", "cesaro", "--matrix", "identity"),
          "no recipe for the class (l1 : cesaro-bounded): "
          "composite targets need a domain-space source"),

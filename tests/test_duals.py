@@ -1,5 +1,6 @@
 """Tests for the dual kernel matrices and the alpha/beta/gamma checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from sumkit.operators import (
     TriangleOperator,
     WeightPair,
     cesaro_matrix,
+    classical_matrix,
     differentiated_inverse,
     integrated_inverse,
 )
@@ -309,3 +311,80 @@ class TestRowWiseBetaKernel:
             gamma_dual_check("int-bv", ones(), wp, FAST)
         assert (got.value.which, got.value.index) == (want.value.which,
                                                       want.value.index) == ("w", 4)
+
+
+# ---------------------------------------------------------------------------
+# The support-aware beta statistic against the full-row loop
+# ---------------------------------------------------------------------------
+
+
+def _finite_sequences(rng):
+    """Finitely supported sequences: random terms of length 1..40, unit
+    vectors, and rows of the Cesàro and Euler matrices."""
+    seqs = {f"terms[{m}]": random_sequence(rng, m) for m in (1, 2, 5, rng.randint(6, 39), 40)}
+    seqs.update({f"e{k}": LazySequence.unit(k) for k in (1, 3, rng.randint(4, 40))})
+    cesaro, euler = cesaro_matrix(), classical_matrix("euler", Fraction(1, 3))
+    for n in (1, 6, rng.randint(7, 30)):
+        seqs[f"cesaro row {n}"] = cesaro.row_sequence(n)
+        seqs[f"euler:1/3 row {n}"] = euler.row_sequence(n)
+    return seqs
+
+
+def _assert_statistics_agree(space, a, wp, sched, label):
+    kind = DualMatrixKind(f"beta-{space}")
+    want = entrywise_beta_statistic(entrywise_beta_kernel(kind, a, wp), sched)
+    for check in (gamma_dual_check, beta_dual_check):
+        v = check(space, a, wp, sched)
+        assert repr((v.trace, v.witness["row"])) == repr(want), (label, check.__name__)
+
+
+class TestSupportAwareBetaStatistic:
+    """Rows past a finite support are not built; the trace, the witness row
+    and the first error stay those of the full-row loop."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    @pytest.mark.parametrize("seed", [81, 82])
+    def test_random_finite_supports(self, seed, space, mode):
+        rng = random.Random(seed)
+        wp = random_weight_pair(rng)
+        sched = TruncationSchedule(sizes=(4, 16, 32, 48))
+        if mode == "float":
+            wp = wp.as_float()
+        for label, a in _finite_sequences(rng).items():
+            if mode == "float":
+                a = a.as_float()
+            _assert_statistics_agree(space, a, wp, sched, label)
+
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_float_rows_past_the_support_go_nonfinite(self, space):
+        # u_k = w_k = 2^-k: d_k = -4^k overflows from k = 512, so every row
+        # past 512 holds d_k * 0 = NaN terms
+        half = geometric(Fraction(1, 2))
+        wp = WeightPair(half, half).as_float()
+        sched = TruncationSchedule(sizes=(16, 64, 256, 520))
+        for a in (LazySequence.from_terms([3, -1, Fraction(1, 2)], exact=False),
+                  LazySequence.unit(7, exact=False),
+                  cesaro_matrix().as_float().row_sequence(9)):
+            kernel = dual_kernel_matrix(DualMatrixKind(f"beta-{space}"), a, wp)
+            assert math.isnan(sum(map(abs, kernel.row(520, 520))))
+            _assert_statistics_agree(space, a, wp, sched, a.label)
+
+    @pytest.mark.parametrize("which", ["u", "w"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_zero_weight_past_the_support(self, space, mode, which):
+        zero_at_11 = LazySequence(lambda k: Fraction(0) if k == 11 else Fraction(1, k))
+        wp = (WeightPair(zero_at_11, harmonic()) if which == "u"
+              else WeightPair(ones(), zero_at_11))
+        a = LazySequence.from_terms([2, -5, Fraction(1, 3)])
+        if mode == "float":
+            wp, a = wp.as_float(), a.as_float()
+        kind = DualMatrixKind(f"beta-{space}")
+        with pytest.raises(InvalidWeightError) as want:
+            entrywise_beta_statistic(entrywise_beta_kernel(kind, a, wp), FAST)
+        assert (want.value.which, want.value.index) == (which, 11)
+        for check in (gamma_dual_check, beta_dual_check):
+            with pytest.raises(InvalidWeightError) as got:
+                check(space, a, wp, FAST)
+            assert (got.value.which, got.value.index) == (which, 11), check.__name__
