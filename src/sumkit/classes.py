@@ -24,9 +24,8 @@ from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceT
                    column_scan, combine_conjunctive, gray_subset_search, judge_trace)
 from .duals import beta_dual_check, pairing_rows
 from .errors import UnsupportedClassError, UnsupportedRowError
-from .operators import (TriangleKind, TriangleOperator, WeightPair,
-                        classical_matrix, differentiated_triangle,
-                        integrated_inverse, integrated_triangle, matrix_product)
+from .operators import (TriangleKind, TriangleOperator, WeightPair, bv_triangle_product,
+                        classical_matrix, integrated_inverse, matrix_product)
 from .spaces import SpaceName
 
 
@@ -62,8 +61,12 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
     Row n of the result is the beta-kernel construction ``pairing_rows``
     applied to row n of ``A``: entry (n,k) couples the lead term at k with
     the weighted tail sum over columns k+1..J of row n, J the row's support
-    extent.  ``A`` must be row-finite (strict, or with a declared support
-    bound).
+    extent.  Every row is built on the one weight state that ``wp`` keeps
+    (``WeightPair.pairing_weights``), so each weight term is computed once,
+    whatever rows are asked for and in whatever order.  Row n reads A(n,1),
+    then div_1 and d_1, then ``A.row(n, J)``, then the weights it adds: the
+    order of the entry-wise formula.  ``A`` must be row-finite (strict, or
+    with a declared support bound).
     """
     if A.row_support is None:
         raise UnsupportedRowError(
@@ -74,7 +77,8 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
     extent = A.row_support
 
     def build_row(n: int) -> list:
-        return pairing_rows(lambda j: A.entry(n, j), wp, integrated, zero)(extent(n))
+        return pairing_rows(lambda m, J: A.row(n, J)[m - 1:], wp, integrated,
+                            zero)(extent(n))
 
     label = "reduce-source-int-bv" if integrated else "reduce-source-d-bv"
     return TriangleOperator(build_row=build_row, kind=TriangleKind.ROW_EVALUABLE,
@@ -91,14 +95,16 @@ def reduce_source_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
 
 
 def reduce_target_int_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
-    """Compose the integrated triangle on the target side (product T A)."""
-    return matrix_product(integrated_triangle(wp), A,
-                          label=f"reduce-target-int-bv({A.label})")
+    """Compose the integrated triangle on the target side (product T A);
+    see ``bv_triangle_product``: O(N^2) exact, the product's order in float."""
+    return bv_triangle_product(wp, A, integrated=True,
+                               label=f"reduce-target-int-bv({A.label})")
 
 
 def reduce_target_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
-    return matrix_product(differentiated_triangle(wp), A,
-                          label=f"reduce-target-d-bv({A.label})")
+    """Compose the differentiated triangle on the target side (product T A)."""
+    return bv_triangle_product(wp, A, integrated=False,
+                               label=f"reduce-target-d-bv({A.label})")
 
 
 # ---------------------------------------------------------------------------

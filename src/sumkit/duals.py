@@ -64,58 +64,62 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
             cores.append(a.at(n) / uw_divisor(wp.u_at(n) * wp.w_at(n), n))
             return [c / n for c in cores] if integrated else [c * n for c in cores]
     else:
-        build_row = pairing_rows(a.at, wp, kind is DualMatrixKind.BETA_INT_BV,
-                                 Fraction(0) if exact else 0.0)
+        build_row = sequence_pairing_rows(a, wp, kind is DualMatrixKind.BETA_INT_BV,
+                                          Fraction(0) if exact else 0.0)
     return TriangleOperator(build_row=build_row, kind=TriangleKind.ROW_EVALUABLE,
                             row_support=lambda n: n, exact=exact, label=kind.value)
 
 
-def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
+def pairing_rows(c_row: Callable[[int, int], list], wp: WeightPair, integrated: bool,
                  zero: Scalar) -> Callable[..., Optional[list]]:
-    """Rows of the pairing construction for the coefficients ``c``.
+    """Rows of the pairing construction for the coefficients c_1, c_2, ...,
+    of which ``c_row(m, J)`` gives ``[c_m, ..., c_J]``.
 
     Row J is ``[lead_k + d_k * (P_J - P_k) for k < J] + [lead_J]`` with
 
-    * ``lead_k = c_k / (k u_k w_k)``, resp. ``k c_k / (u_k w_k)``,
+    * ``lead_k = c_k / div_k``, resp. ``k c_k / div_k``, where div_k is
+      ``k u_k w_k``, resp. ``u_k w_k``,
     * ``d_k = (1/u_k) (1/w_k - 1/w_{k+1})``, read only for k < J,
     * ``P`` the running sum of ``c_j / j``, resp. ``j c_j``.
 
     This is the beta kernel row J for a sequence ``c`` and the source
-    reduction of a matrix row ``c`` with support J.  ``lead``, ``d`` and
-    ``P`` are kept between rows; each new term is computed in the order
-    the entry-wise formula reads it along row J, so the first failing
-    weight or coefficient is the one the formula would hit.
-    ``row(J, build=False)`` makes the same reads to advance the kept state
-    to J and returns None without building the row.
+    reduction of a matrix row ``c`` with support J.  The coefficients,
+    ``lead`` and ``P`` are kept between rows; div and d are the weight
+    state ``wp.pairing_weights`` keeps for every construction on ``wp``.
+    Row J reads c_1, then div_1 and d_1, then c_2..c_J, then the weights
+    up to div_J, each term once: the order of the entry-wise formula along
+    row J, so the first failing weight or coefficient is the one it would
+    hit.  ``row(J, build=False)`` makes the same reads to advance the kept
+    state to J and returns None without building the row.
     """
+    c: list = [None]
     lead: list = [None]
-    d: list = [None]  # d[k] = wp.recip_uw_diff(k), which ``wp`` also keeps
     P = [zero]
 
-    def lead_at(k: int) -> Scalar:
-        if integrated:
-            return c(k) / uw_divisor(k * wp.u_at(k) * wp.w_at(k), k)
-        return k * c(k) / uw_divisor(wp.u_at(k) * wp.w_at(k), k)
+    def read(J: int) -> None:
+        m = len(c)
+        new = c_row(m, J)
+        c.extend(new)
+        total = P[-1]
+        for j, v in enumerate(new, m):
+            total = total + (v / j if integrated else j * v)
+            P.append(total)
 
     def row(J: int, build: bool = True) -> Optional[list]:
         if J < 1:
             return []
-        if len(lead) == 1:
-            lead.append(lead_at(1))
-        if J == 1:
-            return [lead[1]] if build else None
-        if len(d) == 1:
-            d.append(wp.recip_uw_diff(1))
-        while len(P) <= J:
-            j = len(P)
-            P.append(P[-1] + (c(j) / j if integrated else j * c(j)))
-        for k in range(max(2, min(len(lead), len(d))), J):
-            if len(lead) == k:
-                lead.append(lead_at(k))
-            if len(d) == k:
-                d.append(wp.recip_uw_diff(k))
-        if len(lead) == J:
-            lead.append(lead_at(J))
+        if len(c) == 1:
+            read(1)
+        wp.pairing_weights(integrated, 1 if J == 1 else 2)
+        if len(c) <= J:
+            read(J)
+        div, d = wp.pairing_weights(integrated, 2 * J - 1)
+        m = len(lead)
+        if m <= J:
+            if integrated:
+                lead.extend([c[k] / div[k] for k in range(m, J + 1)])
+            else:
+                lead.extend([k * c[k] / div[k] for k in range(m, J + 1)])
         if not build:
             return None
         PJ = P[J]
@@ -124,6 +128,13 @@ def pairing_rows(c: Callable[[int], Scalar], wp: WeightPair, integrated: bool,
         return out
 
     return row
+
+
+def sequence_pairing_rows(a: LazySequence, wp: WeightPair, integrated: bool,
+                          zero: Scalar) -> Callable[..., Optional[list]]:
+    """``pairing_rows`` for the terms of ``a``."""
+    return pairing_rows(lambda m, J: [a.at(j) for j in range(m, J + 1)], wp, integrated,
+                        zero)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +183,7 @@ def _beta_statistic(kind: DualMatrixKind, a: LazySequence, wp: WeightPair,
     those of the full rows.
     """
     zero: Scalar = Fraction(0) if a.exact and wp.exact else 0.0
-    rows = pairing_rows(a.at, wp, kind is DualMatrixKind.BETA_INT_BV, zero)
+    rows = sequence_pairing_rows(a, wp, kind is DualMatrixKind.BETA_INT_BV, zero)
     support = sched.max_size if a.support is None else a.support
     trace: list[tuple[int, Scalar]] = []
     sup = zero
@@ -238,7 +249,7 @@ def pairing_identity_sides(a: LazySequence, y: LazySequence, wp: WeightPair,
     x = embed_from_l1(domain_space(name, wp), y)
     lhs = running_sums(lambda k: a.at(k) * x.at(k), x.zero())
     zero: Scalar = Fraction(0) if a.exact and wp.exact else 0.0
-    rows = pairing_rows(a.at, wp, name is SpaceName.INT_BV, zero)
+    rows = sequence_pairing_rows(a, wp, name is SpaceName.INT_BV, zero)
 
     def sides(n: int) -> tuple[Scalar, Scalar]:
         left = lhs(n)

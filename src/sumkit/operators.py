@@ -37,14 +37,16 @@ class WeightPair:
 
     Nonzero-ness is checked lazily on access so that rules stay total and
     cheap; a zero term raises InvalidWeightError naming the offending index.
-    The two difference terms are kept once computed; a term that raises is
-    not kept, so it raises again on the next access.
+    The two difference terms and the pairing construction's weight state
+    are kept once computed; a term that raises is not kept, so it raises
+    again on the next access.
     """
 
     u: LazySequence
     w: LazySequence
     _w_diffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _recip_diffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairing: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -75,6 +77,32 @@ class WeightPair:
         if v is None:
             v = self._recip_diffs[k] = (1 / self.u_at(k)) * (1 / self.w_at(k) - 1 / self.w_at(k + 1))
         return v
+
+    def pairing_weights(self, integrated: bool, count: int) -> tuple[list, list]:
+        """The weight state of the pairing construction (``duals.pairing_rows``)
+        for int-bv (``integrated``) resp. d-bv, extended to its first
+        ``count`` terms and shared by every row built on this pair:
+        ``div[k]``, the checked divisor of lead_k (``k u_k w_k``, resp.
+        ``u_k w_k``), and ``d[k] = recip_uw_diff(k)``.
+
+        Each term is computed once, in the order div_1, d_1, div_2, d_2,
+        ..., the order the entry-wise formula reads them along a row; row J
+        reads the first 2J - 1.  A term that raises is not kept, so it
+        raises again on the next read.
+        """
+        state = self._pairing.get(integrated)
+        if state is None:
+            state = self._pairing[integrated] = ([None], [None])
+        div, d = state
+        while len(div) + len(d) - 2 < count:
+            k = len(div)
+            if len(d) < k:
+                d.append(self.recip_uw_diff(k - 1))
+            elif integrated:
+                div.append(uw_divisor(k * self.u_at(k) * self.w_at(k), k))
+            else:
+                div.append(uw_divisor(self.u_at(k) * self.w_at(k), k))
+        return state
 
     def as_float(self) -> "WeightPair":
         return WeightPair(self.u.as_float(), self.w.as_float())
@@ -245,38 +273,97 @@ def weighted_mean_triangle(wp: WeightPair) -> TriangleOperator:
                             exact=wp.exact, label="weighted-mean")
 
 
-def _bv_triangle(wp: WeightPair, diag_factor, off_factor, label: str) -> TriangleOperator:
+def _bv_rows(wp: WeightPair, factor, X: Callable[[int], object], start, axpy,
+             scale, skip_zero: bool) -> Callable[[int], object]:
+    """Rows of T X, T the bv triangle with diagonal and off-diagonal factor
+    ``factor`` (n, resp. 1/n) and ``X(j)`` the rows of X:
+
+        row n = u_n * (S_{n-1} + factor(n) * w_n * X_n),
+        S_m = sum_{j<=m} factor(j) * (w_j - w_{j+1}) * X_j,
+
+    with ``S_0 = start``, ``axpy(s, c, x) = s + c * x`` and
+    ``scale(u, s) = u * s`` taken on a scalar x_j (X a sequence) or entry
+    by entry on a row of A.  Each S_m is kept.  With ``skip_zero`` an X_j
+    whose coefficient is zero is not read.  Row n reads u_n, then
+    (w_j - w_{j+1}) and X_j for the j < n that S does not cover yet, then
+    w_n and X_n.
+    """
+    S = [start]
+
+    def row(n: int):
+        u = wp.u_at(n)
+        while len(S) < n:
+            j = len(S)
+            c = factor(j) * wp.w_forward_diff(j)
+            S.append(S[-1] if skip_zero and c == 0 else axpy(S[-1], c, X(j)))
+        return scale(u, axpy(S[n - 1], factor(n) * wp.w_at(n), X(n)))
+
+    return row
+
+
+def _bv_factor(integrated: bool, exact: bool) -> Callable[[int], Scalar]:
+    """n for the integrated triangle, 1/n for the differentiated one."""
+    if integrated:
+        return Fraction if exact else float
+    if exact:
+        return lambda n: Fraction(1, n)
+    return lambda n: 1.0 / n
+
+
+def _bv_triangle(wp: WeightPair, integrated: bool) -> TriangleOperator:
+    factor = _bv_factor(integrated, wp.exact)
+
     def build_row(n: int) -> list[Scalar]:
-        row = [off_factor(k) * wp.u_at(n) * wp.w_forward_diff(k) for k in range(1, n)]
-        row.append(diag_factor(n) * wp.u_at(n) * wp.w_at(n))
+        row = [factor(k) * wp.u_at(n) * wp.w_forward_diff(k) for k in range(1, n)]
+        row.append(factor(n) * wp.u_at(n) * wp.w_at(n))
         return row
 
     def apply_special(T: TriangleOperator, x: LazySequence, row_bound):
-        # y_n = u_n * (prefix_{n-1} + diag_factor(n) * w_n * x_n) with
-        # prefix_m = sum_{k<=m} off_factor(k) * (w_k - w_{k+1}) * x_k
-        pref = running_sums(lambda j: off_factor(j) * wp.w_forward_diff(j) * x.at(j),
-                            T.zero())
-
-        def rule_y(n: int) -> Scalar:
-            return wp.u_at(n) * (pref(n - 1) + diag_factor(n) * wp.w_at(n) * x.at(n))
-
-        return rule_y
+        return _bv_rows(wp, factor, x.at, T.zero(), lambda s, c, v: s + c * v,
+                        operator.mul, skip_zero=False)
 
     return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            exact=wp.exact, label=label, apply_special=apply_special)
+                            exact=wp.exact, apply_special=apply_special,
+                            label="integrated-bv" if integrated else "differentiated-bv")
 
 
 def integrated_triangle(wp: WeightPair) -> TriangleOperator:
-    if wp.exact:
-        return _bv_triangle(wp, lambda n: Fraction(n), lambda k: Fraction(k), "integrated-bv")
-    return _bv_triangle(wp, float, float, "integrated-bv")
+    return _bv_triangle(wp, integrated=True)
 
 
 def differentiated_triangle(wp: WeightPair) -> TriangleOperator:
-    if wp.exact:
-        return _bv_triangle(wp, lambda n: Fraction(1, n), lambda k: Fraction(1, k),
-                            "differentiated-bv")
-    return _bv_triangle(wp, lambda n: 1.0 / n, lambda k: 1.0 / k, "differentiated-bv")
+    return _bv_triangle(wp, integrated=False)
+
+
+def bv_triangle_product(wp: WeightPair, A: TriangleOperator, *, integrated: bool,
+                        label: str) -> TriangleOperator:
+    """T A for T the integrated (resp. differentiated) triangle of ``wp``.
+
+    Exact, with a strict ``A``, row n is the bv recurrence of ``_bv_rows``
+    over the rows of A: O(n) work per row, O(N^2) for N rows, where the
+    product takes O(N^3).  It reads T's row n first and skips every A_j
+    with T(n,j) = 0, as ``matrix_product`` does, so the same weight or
+    entry fails first.  In float mode, or when A is not a strict triangle,
+    it is ``matrix_product``, whose summation order the float values keep.
+    """
+    T = _bv_triangle(wp, integrated)
+    if not (wp.exact and A.exact) or A.kind is not TriangleKind.STRICT_TRIANGLE:
+        return matrix_product(T, A, label=label)
+    zero = Fraction(0)
+
+    def axpy(s: list, c: Scalar, x: list) -> list:
+        # a kept sum is shorter than the row of A it meets: zeros pad it
+        return [a + c * v for a, v in zip(s + [zero] * (len(x) - len(s)), x)]
+
+    rows = _bv_rows(wp, _bv_factor(integrated, True), lambda j: A.row(j, j), [], axpy,
+                    lambda u, s: [u * v for v in s], skip_zero=True)
+
+    def build_row(n: int) -> list[Scalar]:
+        T.row(n, n)  # the weights of row n, before any row of A
+        return rows(n)
+
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            exact=True, label=label)
 
 
 # ---------------------------------------------------------------------------

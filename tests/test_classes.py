@@ -1,11 +1,13 @@
 """Tests for the matrix-class machinery: conditions, tables, reductions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sumkit.core import SpaceTag, TruncationSchedule, Verdict, ones, zeros
+from sumkit.core import LazySequence, SpaceTag, TruncationSchedule, Verdict, ones, zeros
 from sumkit.duals import DualMatrixKind, dual_kernel_matrix
 from sumkit.errors import UnsupportedClassError, UnsupportedRowError
 from sumkit.classes import (
@@ -22,17 +24,20 @@ from sumkit.classes import (
     table_recipe,
     verify_reduction_roundtrip,
 )
+from sumkit.minilang import parse_matrix_spec, parse_weight_spec
 from sumkit.operators import (
     TriangleKind,
     TriangleOperator,
     WeightPair,
     cesaro_matrix,
     difference_matrix,
+    differentiated_triangle,
     euler_matrix,
     identity_matrix,
     integrated_triangle,
     matrix_product,
     taylor_matrix,
+    uw_divisor,
 )
 from conftest import random_sequence, random_weight_pair
 
@@ -424,3 +429,226 @@ class TestReductionRoundtrip:
         with pytest.raises(UnsupportedRowError):
             verify_reduction_roundtrip(taylor_matrix(Fraction(1, 2)), WP_ONES,
                                        ones(), 3)
+
+
+# ---------------------------------------------------------------------------
+# Reductions as recurrences, against the per-row and product forms they
+# replace
+# ---------------------------------------------------------------------------
+
+
+def per_row_pairing(c, wp, integrated, zero, J):
+    """Row J of the pairing construction on a fresh state, in the
+    entry-wise read order: ``lead``, ``d`` and ``P`` are built anew for the
+    row.  The reference for the shared weight state."""
+    lead: list = [None]
+    d: list = [None]
+    P = [zero]
+
+    def lead_at(k):
+        if integrated:
+            return c(k) / uw_divisor(k * wp.u_at(k) * wp.w_at(k), k)
+        return k * c(k) / uw_divisor(wp.u_at(k) * wp.w_at(k), k)
+
+    if J < 1:
+        return []
+    lead.append(lead_at(1))
+    if J == 1:
+        return [lead[1]]
+    d.append(wp.recip_uw_diff(1))
+    while len(P) <= J:
+        j = len(P)
+        P.append(P[-1] + (c(j) / j if integrated else j * c(j)))
+    for k in range(2, J):
+        lead.append(lead_at(k))
+        d.append(wp.recip_uw_diff(k))
+    lead.append(lead_at(J))
+    PJ = P[J]
+    out = [lead[k] + d[k] * (PJ - P[k]) for k in range(1, J)]
+    out.append(lead[J])
+    return out
+
+
+def per_row_reduce_source(A, wp, integrated):
+    """The source reduction with a fresh pairing state for every row, its
+    coefficients read one ``A.entry`` at a time: the reference for
+    ``reduce_source_*``."""
+    zero = Fraction(0) if A.exact and wp.exact else 0.0
+
+    def build_row(n):
+        return per_row_pairing(lambda j: A.entry(n, j), wp, integrated, zero,
+                               A.row_support(n))
+
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.ROW_EVALUABLE,
+                            row_support=A.row_support, exact=A.exact and wp.exact)
+
+
+def outcomes(B, rows):
+    """``repr`` of each row of ``B`` asked for, in the order given, or the
+    type and message of the exception it raises; a row that raises does
+    not stop the walk."""
+    out = []
+    for n in rows:
+        try:
+            out.append((n, repr(B.row(n, n + 2))))
+        except Exception as exc:  # the error itself is under comparison
+            out.append((n, type(exc).__name__, str(exc)))
+    return out
+
+
+W_TERMS = [Fraction(p, q) for p in (-2, -1, 1, 2, 3) for q in (1, 2, 3)]
+# ill-defined cells: one cell, one row, a diagonal band, a row and a column
+ILL_DEFINED = ["expr:1/((n-4)^2+(k-2)^2)", "expr:1/(n-3)", "expr:1/(n-k-3)",
+               "expr:1/((k-2)*(n-5))"]
+REDUCED = ["cesaro", "euler:1/3", "riesz:harmonic", "difference", "expr:k/(n+1)",
+           *ILL_DEFINED]
+
+
+@st.composite
+def weight_terms(draw, n):
+    """Terms 1..n+2 of one weight (zero past them): random rationals, runs
+    of one value (so that w_k - w_{k+1} = 0), a geometric whose float
+    products underflow, or any of these with a zero at a random index."""
+    shape = draw(st.sampled_from(["random", "runs", "geometric"]))
+    if shape == "random":
+        terms = draw(st.lists(st.sampled_from(W_TERMS), min_size=n + 2, max_size=n + 2))
+    elif shape == "runs":
+        terms = draw(st.lists(st.sampled_from([Fraction(1), Fraction(2)]),
+                              min_size=n + 2, max_size=n + 2))
+    else:
+        ratio = Fraction(1, 2 ** draw(st.sampled_from([1, 20, 35])))
+        terms = [ratio ** k for k in range(1, n + 3)]
+    if draw(st.booleans()):
+        terms[draw(st.integers(0, n + 1) | st.integers(0, min(n + 1, 5)))] = Fraction(0)
+    return terms
+
+
+@st.composite
+def reduction_inputs(draw):
+    """Weights, a mode and the rows to ask for, in order or not."""
+    n = draw(st.integers(1, 30))
+    u, w = draw(weight_terms(n)), draw(weight_terms(n))
+    exact = draw(st.booleans())
+    if draw(st.booleans()):
+        rows = list(range(1, n + 1))
+    else:
+        rows = draw(st.lists(st.integers(1, n), min_size=1, max_size=12))
+    return exact, u, w, rows
+
+
+def make_weights(u, w, exact):
+    pair = WeightPair(LazySequence.from_terms(u), LazySequence.from_terms(w))
+    return pair if exact else pair.as_float()
+
+
+def make_matrix(spec, exact):
+    A = parse_matrix_spec(spec).operator
+    return A if exact else A.as_float()
+
+
+class TestSourceReductionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(reduction_inputs(), st.sampled_from(REDUCED), st.booleans())
+    def test_rows_and_errors_match_a_fresh_state_per_row(self, inputs, spec, integrated):
+        exact, u, w, rows = inputs
+        reduce = reduce_source_int_bv if integrated else reduce_source_d_bv
+        got = reduce(make_matrix(spec, exact), make_weights(u, w, exact))
+        want = per_row_reduce_source(make_matrix(spec, exact), make_weights(u, w, exact),
+                                     integrated)
+        assert outcomes(got, rows) == outcomes(want, rows)
+
+    @pytest.mark.parametrize("integrated, first", [(True, 543), (False, 538)])
+    def test_float_weight_products_underflowing_past_1074(self, integrated, first):
+        # u_k w_k = 4^-k passes 2^-1074 and rounds to zero at k = 538, and
+        # k u_k w_k at k = 543; rows around it, out of order, and rows below
+        # it asked for after it raised
+        def make():
+            u, w = (parse_weight_spec("geometric:1/2")[0].as_float() for _ in range(2))
+            return cesaro_matrix().as_float(), WeightPair(u, w)
+
+        reduce = reduce_source_int_bv if integrated else reduce_source_d_bv
+        rows = [545, 536, first, first - 1, 2, 544, first - 1]
+        got = outcomes(reduce(*make()), rows)
+        assert got == outcomes(per_row_reduce_source(*make(), integrated), rows)
+        assert got[0][1:] == got[2][1:] == (
+            "InvalidWeightError", f"weight u[{first}] times w[{first}] underflows to zero")
+        assert got[3][1].startswith("[")
+
+
+class CountedReads(LazySequence):
+    """A sequence that counts the reads of each index."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, rule):
+        super().__init__(rule)
+        self.reads = Counter()
+
+    def at(self, k):
+        self.reads[k] += 1
+        return super().at(k)
+
+
+class TestSourceReductionWork:
+    @pytest.mark.parametrize("reduce", [reduce_source_int_bv, reduce_source_d_bv])
+    def test_each_weight_and_row_is_read_a_bounded_number_of_times(self, reduce):
+        # a per-row recomputation reads u_k and w_k once for every row n >= k
+        u = CountedReads(lambda k: Fraction(1, k))
+        w = CountedReads(lambda k: Fraction(k % 3 + 1, k))
+        built = Counter()
+        cesaro = cesaro_matrix()
+
+        def build_row(n):
+            built[n] += 1
+            return cesaro.row(n, n)
+
+        A = TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE)
+        B = reduce(A, WeightPair(u, w))
+        for n in range(1, 257):
+            B.row(n, n)
+        assert max(u.reads.values()) <= 2 and max(w.reads.values()) <= 3
+        assert set(u.reads) == set(w.reads) == set(range(1, 257))
+        assert built == Counter(range(1, 257))
+
+
+def random_triangle(rng, n, exact):
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+            for m in range(1, n + 1)]
+    A = TriangleOperator(build_row=lambda m: rows[m - 1], kind=TriangleKind.STRICT_TRIANGLE,
+                         label="random")
+    return A if exact else A.as_float()
+
+
+TARGET_MATRICES = ["cesaro", "euler:1/3", "identity", "riesz:harmonic", *ILL_DEFINED]
+
+
+class TestTargetReductionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(reduction_inputs(), st.sampled_from(TARGET_MATRICES + ["random"]),
+           st.booleans(), st.integers(0, 2 ** 32))
+    def test_rows_and_errors_match_the_product(self, inputs, spec, integrated, seed):
+        # exact: the bv recurrence; float: the product itself, bit for bit
+        exact, u, w, rows = inputs
+
+        def make():
+            if spec == "random":
+                A = random_triangle(random.Random(seed), max(rows) + 1, exact)
+            else:
+                A = make_matrix(spec, exact)
+            return A, make_weights(u, w, exact)
+
+        reduce, triangle = ((reduce_target_int_bv, integrated_triangle) if integrated
+                            else (reduce_target_d_bv, differentiated_triangle))
+        got = reduce(*make())
+        A, wp = make()
+        assert outcomes(got, rows) == outcomes(matrix_product(triangle(wp), A), rows)
+
+    def test_zero_coefficients_skip_the_rows_of_a(self):
+        # with w = ones every off-diagonal coefficient is zero: row n of T A
+        # reads only row n of A, as the product does, so row 3's error is
+        # not raised for row 5
+        A = make_matrix("expr:1/(n-3)", True)
+        B = reduce_target_int_bv(A, WP_ONES)
+        assert B.row(5, 5) == [5 * Fraction(1, 2)] * 5
+        with pytest.raises(ZeroDivisionError, match="at n=3, k=1"):
+            B.row(3, 3)
