@@ -643,6 +643,25 @@ class TestTargetReductionOracle:
         A, wp = make()
         assert outcomes(got, rows) == outcomes(matrix_product(triangle(wp), A), rows)
 
+    @pytest.mark.parametrize("integrated", [True, False])
+    @pytest.mark.parametrize("zero_u, zero_w, spec", [
+        (4, None, "cesaro"), (None, 3, "euler:1/3"), (None, None, "expr:1/(n-3)"),
+        (6, 2, "expr:(k-2)/(n-5)")])
+    def test_first_errors_match_the_product(self, integrated, zero_u, zero_w, spec):
+        u = [Fraction(1, k) for k in range(1, 13)]
+        w = [Fraction(k % 3 + 1, k) for k in range(1, 13)]
+        if zero_u:
+            u[zero_u - 1] = Fraction(0)
+        if zero_w:
+            w[zero_w - 1] = Fraction(0)
+        reduce, triangle = ((reduce_target_int_bv, integrated_triangle) if integrated
+                            else (reduce_target_d_bv, differentiated_triangle))
+        rows = [7, 2, 5, 3, 1, 6, 4, 8]
+        got = outcomes(reduce(make_matrix(spec, True), make_weights(u, w, True)), rows)
+        wp = make_weights(u, w, True)
+        assert got == outcomes(matrix_product(triangle(wp), make_matrix(spec, True)), rows)
+        assert any(len(o) == 3 for o in got)
+
     def test_zero_coefficients_skip_the_rows_of_a(self):
         # with w = ones every off-diagonal coefficient is zero: row n of T A
         # reads only row n of A, as the product does, so row 3's error is
