@@ -273,6 +273,9 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
     upper_trace: list[tuple[int, Scalar]] = []
     lower_vals: list[float] = []
     witness = None
+    # the first 12 rows and columns of fb are final once a size reaches 12,
+    # so the exhaustive search reruns only while its depth grows
+    depth, exhaustive = 0, None
 
     for s in sched.sizes:
         for n in range(1, s + 1):
@@ -284,7 +287,9 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
         prev = s
         upper_trace.append((s, upper_acc))
 
-        exhaustive = _exhaustive_rect(fb, min(12, s))
+        if min(12, s) != depth:
+            depth = min(12, s)
+            exhaustive = _exhaustive_rect(fb, depth)
         greedy = _greedy_rect(fb, s)
         lower, witness = greedy if greedy[0] >= exhaustive[0] else exhaustive
         lower_vals.append(lower)

@@ -344,7 +344,9 @@ def bv_triangle_product(wp: WeightPair, A: TriangleOperator, *, integrated: bool
     product takes O(N^3).  It reads T's row n first and skips every A_j
     with T(n,j) = 0, as ``matrix_product`` does, so the same weight or
     entry fails first.  In float mode, or when A is not a strict triangle,
-    it is ``matrix_product``, whose summation order the float values keep.
+    it is ``matrix_product``, whose summation order the float values keep;
+    under a constant u each off-diagonal row of T repeats the row before
+    it, so the product resumes every row and N rows cost O(N^2) there too.
     """
     T = _bv_triangle(wp, integrated)
     if not (wp.exact and A.exact) or A.kind is not TriangleKind.STRICT_TRIANGLE:
@@ -693,6 +695,11 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
     without either raises UnsupportedRowError at evaluation time.  With a
     strict ``R`` the product is built row by row, reading each row of ``L``
     and of ``R`` once; otherwise (``R`` with infinite rows) entry by entry.
+    A row-built product keeps the sums of its last row after all but that
+    row's last left term.  Row n + 1 starts from them when its left row
+    agrees with row n's there, and adds only its remaining terms: the same
+    additions in the same order, so the same values and the same first
+    error.  Any other row, and a row built out of order, sums every term.
     """
     exact = L.exact and R.exact
     left_strict = L.kind is TriangleKind.STRICT_TRIANGLE
@@ -727,6 +734,8 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
         # row j of R, and its nonzero (k-1, R(j,k)) pairs when at most half
         # of the row is nonzero
         right_rows: dict[int, tuple[list[Scalar], Optional[list]]] = {}
+        # (n, row n of L, acc after the first len - 1 terms of row n)
+        kept: list = [-1, [], []]
 
         def build_row(n: int) -> list[Scalar]:
             # acc[k-1] gathers L(n,j) R(j,k) over j >= k in ascending j, the
@@ -734,10 +743,21 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
             # once, as Fraction * float would on every term.  A term with
             # R(j,k) = 0 leaves acc[k-1] as it is (a float acc starts at +0.0
             # and never becomes -0.0), unless L(n,j) is not finite, when the
-            # term is NaN
+            # term is NaN.  Row n starts from row n-1's kept acc when their
+            # first p left entries are equal: term j touches acc[:j] only, and
+            # equal L(n,j) over the same R rows add the same values in the same
+            # order, so every entry keeps its bits
             J = bound(n)
-            acc = [zero] * J
-            for j, lv in enumerate(L.row(n, J), 1):
+            lrow = L.row(n, J)
+            kept_n, kept_row, kept_acc = kept
+            p = len(kept_row) - 1
+            if n == kept_n + 1 and lrow[:p] == kept_row[:p]:
+                acc = kept_acc[:p] + [zero] * (J - p)
+            else:
+                acc, p = [zero] * J, 0
+            for j, lv in enumerate(lrow[p:], p + 1):
+                if j == J:
+                    kept[:] = n, lrow, acc[:]
                 if lv == 0:
                     continue
                 right = right_rows.get(j)

@@ -1,15 +1,17 @@
-"""Re-record the golden report digests in ``golden_reports.json``.
+"""Record golden report digests in ``golden_reports.json``.
 
 Usage, from the repository root::
 
     PYTHONPATH=src python3 tests/record_golden.py [COMMAND ...]
 
-Every command already keyed in the file is run again through ``run_cli``
-and its exit code and report sha256 are written back in place.  Each
-COMMAND given on the command line (one argv string, e.g.
-``"class-check --source l1 --target l1 --matrix cesaro"``) is added to the
-``extra`` section if it is not keyed yet.  Record on the commit whose
-reports the digests should pin, before changing any source.
+With no COMMAND, every command already keyed in the file is run again
+through ``run_cli`` and its exit code and report sha256 are written back in
+place.  With COMMANDs (one argv string each, e.g.
+``"class-check --source l1 --target l1 --matrix cesaro"``), only those are
+recorded: a command keyed in either section is re-recorded where it is, any
+other is added to the ``extra`` section, and every other digest is left as
+it is.  Record on the commit whose reports the digests should pin, before
+changing any source.
 """
 
 import hashlib
@@ -30,13 +32,10 @@ def record(command: str) -> dict:
 
 def main(argv: list[str]) -> int:
     golden = json.loads(PATH.read_text())
-    for command in argv:
-        if command not in golden["readme"]:
-            golden["extra"].setdefault(command, None)
-    for section in golden.values():
-        for command in section:
-            section[command] = record(command)
-            print(f"{section[command]['exit_code']} {command}", file=sys.stderr)
+    for command in argv or [command for section in golden.values() for command in section]:
+        section = next((s for s in golden.values() if command in s), golden["extra"])
+        section[command] = record(command)
+        print(f"{section[command]['exit_code']} {command}", file=sys.stderr)
     PATH.write_text(json.dumps(golden, indent=2) + "\n")
     return 0
 

@@ -20,7 +20,12 @@ float ``reduction-check`` on ``euler:1/3`` under ``--u geometric:1/2``
 (n = 300) and exact on ``riesz:harmonic`` (n = 64); and a float alpha
 dual-check on ``power:-2`` whose row-subset cross-check differs in its
 last digit when the float sums are compensated (as the builtin ``sum`` is
-from CPython 3.12 on).
+from CPython 3.12 on); and four float target reductions whose product
+rows carry nonzero off-diagonal terms: two under a non-constant u, whose
+left rows share no prefix (table 6 on ``cesaro`` and table 5 on
+``euler:1/2``), and two under u = ones, whose rows resume from the row
+before (``euler:1/2`` on the default schedule and ``cesaro`` on
+128,256,512,1024).
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

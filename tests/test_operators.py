@@ -23,6 +23,7 @@ from sumkit.operators import (
     basis_column,
     basis_column_tabulated,
     basis_tabulated_discrepancies,
+    bv_triangle_product,
     cesaro_matrix,
     classical_matrix,
     difference_matrix,
@@ -886,3 +887,112 @@ class TestRowBuiltProducts:
         with pytest.raises(ValueError):
             TriangleOperator(lambda n, k: 1, build_row=lambda n: [1] * n,
                              kind=TriangleKind.STRICT_TRIANGLE)
+
+
+def _frozen_product_row(L, R, n):
+    """Row n of the strict-right-factor product as built before rows resumed:
+    every left term of row n, in ascending j, from a zero accumulator."""
+    exact = L.exact and R.exact
+    acc = [Fraction(0) if exact else 0.0] * n
+    for j, lv in enumerate(L.row(n, n), 1):
+        if lv == 0:
+            continue
+        rrow = R.row(j, j)
+        nonzero = [(i, r) for i, r in enumerate(rrow) if r != 0]
+        nonzero = nonzero if 2 * len(nonzero) <= j else None
+        if not exact:
+            lv = float(lv)
+        if nonzero is not None and (exact or math.isfinite(lv)):
+            for i, r in nonzero:
+                acc[i] = acc[i] + lv * r
+        else:
+            acc[:j] = [a + lv * r for a, r in zip(acc, rrow)]
+    return acc
+
+
+class _Injected(Exception):
+    pass
+
+
+def _flaky_rows(rows, fail, exact):
+    """A strict triangle over ``rows`` whose rows in ``fail`` raise on their
+    first build only."""
+    failed = set()
+
+    def build_row(n):
+        if n in fail and n not in failed:
+            failed.add(n)
+            raise _Injected(n)
+        return list(rows[n - 1])
+
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            exact=exact)
+
+
+_FLOAT_POOL = [0.0, -0.0, 1.0, -1.5, 0.1, 3.0, 1e308, math.inf, -math.inf, math.nan]
+_EXACT_POOL = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(1, 3), Fraction(2)]
+
+
+@st.composite
+def _resume_cases(draw):
+    size = draw(st.integers(1, 10))
+    left_exact, right_exact = draw(st.sampled_from(
+        [(False, False), (False, True), (True, False), (True, True)]))
+    left_pool = _EXACT_POOL if left_exact else _FLOAT_POOL
+    right_pool = _EXACT_POOL if right_exact else [0.0, 0.0, 1.0, -0.5, 0.25, 1e308]
+    left: list = []
+    for n in range(1, size + 1):
+        fresh = draw(st.lists(st.sampled_from(left_pool), min_size=n, max_size=n))
+        # how much of row n-1 row n repeats: all but its last entry (the
+        # prefix a resume needs), a shorter part, or none
+        keep = draw(st.sampled_from([max(0, n - 2), draw(st.integers(0, max(0, n - 3))), 0]))
+        left.append((left[-1][:keep] if left else []) + fresh[keep:])
+    right = [draw(st.lists(st.sampled_from(right_pool), min_size=n, max_size=n))
+             for n in range(1, size + 1)]
+    rows = st.integers(1, size)
+    order = draw(st.lists(rows, max_size=3 * size)) + list(range(1, size + 1))
+    fails = draw(st.sets(rows)), draw(st.sets(rows))
+    return left, right, left_exact, right_exact, order, fails
+
+
+class TestProductResume:
+    """A product row resumes from the previous row's kept sums when the left
+    rows share their prefix; each row must keep the bits of the full sum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_resume_cases())
+    def test_every_row_equals_the_full_sum_bit_for_bit(self, case):
+        left, right, left_exact, right_exact, order, (fail_left, fail_right) = case
+        P = matrix_product(_flaky_rows(left, fail_left, left_exact),
+                           _flaky_rows(right, fail_right, right_exact))
+        L0 = _flaky_rows(left, set(), left_exact)
+        R0 = _flaky_rows(right, set(), right_exact)
+        for n in order:
+            while True:
+                try:
+                    got = P.row(n, n)
+                    break
+                except _Injected:
+                    pass  # the row is asked again after the error
+            assert repr(got) == repr(_frozen_product_row(L0, R0, n)), n
+
+    def test_constant_u_rows_take_quadratic_work(self):
+        class Counted(float):
+            products = 0
+
+            def __rmul__(self, other):
+                Counted.products += 1
+                return other * float(self)
+
+        N = 256
+        A = TriangleOperator(
+            build_row=lambda n: [Counted(1.0 / (n + k)) for k in range(1, n + 1)],
+            kind=TriangleKind.STRICT_TRIANGLE, exact=False)
+        for integrated in (True, False):
+            P = bv_triangle_product(WP_HARM.as_float(), A, integrated=integrated, label="T*A")
+            before = Counted.products
+            for n in range(1, N + 1):
+                P.row(n, n)
+            # row n adds its last two left terms, 2n - 1 products: N^2 in
+            # all, where the full sums take N(N+1)(N+2)/6
+            assert Counted.products - before == N * N

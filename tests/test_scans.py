@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from sumkit import classes
 from sumkit.classes import (_exhaustive_rect, _greedy_rect, _row_signs, _signed_rows,
                             _verdict, check_condition, reduce_source_d_bv,
                             reduce_source_int_bv)
@@ -353,3 +354,14 @@ def test_row_sweeps_meet_the_same_zero_division(cid, spec, full, cell, mode):
     got = _outcome(lambda A, s: check_condition(cid, A, s), make(), SCHED)
     assert got == _outcome(_FROZEN_SWEEPS[cid], make(), SCHED)
     assert got[0] == "ZeroDivisionError" and got[1].endswith(f"divides by zero at {cell}")
+
+
+@pytest.mark.parametrize("sched, searches", [(TruncationSchedule(), 1), (SCHED, 3)])
+def test_subset_sums_search_the_leading_block_once_per_depth(monkeypatch, sched, searches):
+    # the 12 x 12 block is final once a size reaches 12
+    calls = []
+    search = classes.gray_subset_search
+    monkeypatch.setattr(classes, "gray_subset_search",
+                        lambda *args: calls.append(args) or search(*args))
+    check_condition("C20", classical_matrix("cesaro").as_float(), sched)
+    assert len(calls) == searches
