@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from operator import add
 from typing import Callable, NamedTuple, Optional
 
@@ -174,34 +173,67 @@ def _check_entry_sup(A, sched) -> ConditionVerdict:
     return _verdict("C11", trace, StatKind.SUP, sched, witness=witness)
 
 
-def _window_defects(A, sched, window, *, to_zero: bool):
-    """Per size s, the largest oscillation of ``window(k, s)`` (values along
-    column k in rows s//2+1..s) over the columns k <= max(1, s//2), and with
-    ``to_zero`` of the magnitude of its last value.  Returns the trace and
-    the judging scale."""
+def _window_defects(A, sched, *, partial_sums: bool, to_zero: bool):
+    """Per size s, the largest oscillation along column k over the window
+    rows s//2+1..s, taken over the columns k <= max(1, s//2), and with
+    ``to_zero`` of the magnitude of column k's value in row s.  The values
+    are the entries A(n, k), or with ``partial_sums`` the column sums
+    A.zero() + A(1, k) + ... + A(n, k), added in that order.
+
+    One pass reads the rows in ascending order, each once with ``A.row``:
+    with ``partial_sums`` every row up to max(1, max size // 2), else each
+    window row up to the widest column range among the sizes whose window
+    holds it, the cells a column-by-column reading of the windows reads.
+    Each open size keeps the running max and min of its columns, updated
+    as builtin ``max``/``min`` compare a list (so NaN stays where it
+    would), and judges its columns in ascending order when its window
+    closes.  Returns the trace and the judging scale, which takes every
+    window value.
+    """
+    sizes = sched.sizes
+    zero = A.zero()
+    width = max(1, sched.max_size // 2)
+    sums = [zero] * width
+    spans: dict[int, list] = {}  # open size -> [max, min, last] per column
     trace = []
     scale = 1.0
-    for s in sched.sizes:
-        defect = A.zero()
-        for k in range(1, max(1, s // 2) + 1):
-            vals = window(k, s)
-            scale = _scan_scale(vals, scale)
-            osc = max(vals) - min(vals)
-            if osc > defect:
-                defect = osc
-            if to_zero:
-                mag = abs(vals[-1])
-                if mag > defect:
-                    defect = mag
-        trace.append((s, defect))
+    for n in range(1, sched.max_size + 1):
+        held = [s for s in sizes if s // 2 < n <= s]
+        upto = max((max(1, s // 2) for s in held), default=0)
+        if partial_sums:
+            sums = [p + v for p, v in zip(sums, A.row(n, width))]
+            vals = sums[:upto]
+        elif held:
+            vals = A.row(n, upto)
+        else:
+            continue
+        scale = _scan_scale(vals, scale)
+        for s in held:
+            cur = vals[:max(1, s // 2)]
+            span = spans.get(s)
+            if span is None:
+                spans[s] = [cur, cur, cur]
+            else:
+                span[0] = [v if v > m else m for v, m in zip(cur, span[0])]
+                span[1] = [v if v < m else m for v, m in zip(cur, span[1])]
+                span[2] = cur
+        span = spans.pop(n, None)
+        if span is not None:
+            defect = zero
+            for hi, lo, last in zip(*span):
+                osc = hi - lo
+                if osc > defect:
+                    defect = osc
+                if to_zero:
+                    mag = abs(last)
+                    if mag > defect:
+                        defect = mag
+            trace.append((n, defect))
     return trace, scale
 
 
 def _check_column_limits(A, sched, *, zero_limit: bool) -> ConditionVerdict:
-    def entries(k: int, s: int) -> list:
-        return [A.entry(n, k) for n in range(s // 2 + 1, s + 1)]
-
-    trace, scale = _window_defects(A, sched, entries, to_zero=zero_limit)
+    trace, scale = _window_defects(A, sched, partial_sums=False, to_zero=zero_limit)
     s_max = sched.max_size
     estimates = {k: A.entry(s_max, k) for k in range(1, min(16, s_max // 2) + 1)}
     return _verdict("C12(limit=0)" if zero_limit else "C12", trace, StatKind.DEFECT,
@@ -209,11 +241,7 @@ def _check_column_limits(A, sched, *, zero_limit: bool) -> ConditionVerdict:
 
 
 def _check_column_sum_convergence(A, sched, *, to_zero: bool) -> ConditionVerdict:
-    def partial_sums(k: int, s: int) -> list:
-        column = (A.entry(n, k) for n in range(1, s + 1))
-        return list(accumulate(column, initial=A.zero()))[s // 2 + 1:]
-
-    trace, scale = _window_defects(A, sched, partial_sums, to_zero=to_zero)
+    trace, scale = _window_defects(A, sched, partial_sums=True, to_zero=to_zero)
     return _verdict("C16" if to_zero else "C15", trace, StatKind.DEFECT, sched,
                     scale=scale, require_exact_zero=to_zero and A.exact)
 

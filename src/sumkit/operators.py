@@ -576,15 +576,23 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
     the total T_n = A/B first, which checks t_1..t_n in order.  Over exact
     t_k = a_k/b_k the float entry is the integer ratio a_k B / (b_k A), one
     correctly rounded division per entry that never builds the exact row;
-    the exact entry is the quotient t_k / T_n, which cancels through the
-    gcds of the small a_k, b_k with A, B where ``Fraction(a_k B, b_k A)``
-    would take a gcd of two row-sized integers.  Float weights are divided
-    by the float total.
+    a_k and b_k are kept in two int lists as the total checks t_k, so t_k
+    is read once whatever rows are built.  The exact entry is the quotient
+    t_k / T_n, which cancels through the gcds of the small a_k, b_k with
+    A, B where ``Fraction(a_k B, b_k A)`` would take a gcd of two row-sized
+    integers.  Float weights are divided by the float total.
     """
+    # a_k and b_k of each exact t_k = a_k/b_k the total has checked
+    nums: list[int] = []
+    dens: list[int] = []
+
     def positive(k: int) -> Scalar:
         tk = t.at(k)
         if tk <= 0:
             raise InvalidWeightError("t", k, "must be positive for a Riesz matrix")
+        if t.exact:
+            nums.append(tk.numerator)
+            dens.append(tk.denominator)
         return tk
 
     total = running_sums(positive, t.zero())
@@ -594,8 +602,7 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
         if not t.exact or ratio is Fraction:
             return [t.at(k) / tot for k in range(1, n + 1)]
         num, den = tot.numerator, tot.denominator
-        return [ratio(tk.numerator * den, tk.denominator * num)
-                for tk in map(t.at, range(1, n + 1))]
+        return [ratio(a * den, b * num) for a, b in zip(nums[:n], dens[:n])]
 
     return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
                             exact=t.exact, label=f"riesz:{t.label or 't'}")

@@ -3,6 +3,7 @@
 Usage, from the repository root::
 
     PYTHONPATH=src python3 tests/record_golden.py [COMMAND ...]
+    PYTHONPATH=src python3 tests/record_golden.py --check
 
 With no COMMAND, every command already keyed in the file is run again
 through ``run_cli`` and its exit code and report sha256 are written back in
@@ -12,6 +13,11 @@ recorded: a command keyed in either section is re-recorded where it is, any
 other is added to the ``extra`` section, and every other digest is left as
 it is.  Record on the commit whose reports the digests should pin, before
 changing any source.
+
+``--check`` writes nothing: it runs every keyed command again, prints each
+one whose exit code or digest differs from the file, and exits 1 if any
+does.  It needs no pytest, so it can replay the digests on any CPython the
+package supports.
 """
 
 import hashlib
@@ -30,8 +36,25 @@ def record(command: str) -> dict:
     return {"exit_code": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def check(golden: dict) -> int:
+    cases = {command: want for section in golden.values()
+             for command, want in section.items()}
+    bad = 0
+    for command, want in cases.items():
+        got = record(command)
+        if got != want:
+            bad += 1
+            print(f"MISMATCH {command}: exit {got['exit_code']} sha256 {got['sha256']}, "
+                  f"recorded exit {want['exit_code']} sha256 {want['sha256']}")
+    print(f"{len(cases) - bad} of {len(cases)} digests match on Python "
+          f"{sys.version.split()[0]}")
+    return 1 if bad else 0
+
+
 def main(argv: list[str]) -> int:
     golden = json.loads(PATH.read_text())
+    if argv == ["--check"]:
+        return check(golden)
     for command in argv or [command for section in golden.values() for command in section]:
         section = next((s for s in golden.values() if command in s), golden["extra"])
         section[command] = record(command)

@@ -482,6 +482,25 @@ class TestErrorsAndVersion:
         (("class-check", "--source", "l1", "--target", "c",
           "--matrix", "expr:1/((k-2)*(n-5))"),
          "expression '1/((k-2)*(n-5))' divides by zero at n=2, k=2"),
+        # two bad cells: C12 alone would meet (12, 1) first in its old
+        # column order and (10, 3) in its row order, but C11 runs first and
+        # meets (10, 3); C15 and C16 follow C14 in the same way
+        (("class-check", "--source", "l1", "--target", "c",
+          "--matrix", "expr:1/(((n-10)^2+(k-3)^2)*((n-12)^2+(k-1)^2))"),
+         "expression '1/(((n-10)^2+(k-3)^2)*((n-12)^2+(k-1)^2))' divides by zero "
+         "at n=10, k=3"),
+        (("class-check", "--source", "int-bv", "--target", "c0",
+          "--matrix", "expr:1/(((n-10)^2+(k-3)^2)*((n-12)^2+(k-1)^2))"),
+         "expression '1/(((n-10)^2+(k-3)^2)*((n-12)^2+(k-1)^2))' divides by zero "
+         "at n=10, k=3"),
+        (("class-check", "--source", "l1", "--target", "cs",
+          "--matrix", "expr:1/(((n-3)^2+(k-2)^2)*((n-5)^2+(k-1)^2))"),
+         "expression '1/(((n-3)^2+(k-2)^2)*((n-5)^2+(k-1)^2))' divides by zero "
+         "at n=3, k=2"),
+        (("class-check", "--source", "l1", "--target", "c0s",
+          "--matrix", "expr:1/(((n-3)^2+(k-2)^2)*((n-5)^2+(k-1)^2))"),
+         "expression '1/(((n-3)^2+(k-2)^2)*((n-5)^2+(k-1)^2))' divides by zero "
+         "at n=3, k=2"),
         (("class-check", "--source", "l1", "--target", "c", "--matrix", "riesz:1,0,2"),
          "weight t[2] must be positive for a Riesz matrix"),
         (("class-check", "--source", "l1", "--target", "c", "--matrix", "riesz:1,2,-1,3"),

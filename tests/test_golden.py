@@ -25,7 +25,11 @@ rows carry nonzero off-diagonal terms: two under a non-constant u, whose
 left rows share no prefix (table 6 on ``cesaro`` and table 5 on
 ``euler:1/2``), and two under u = ones, whose rows resume from the row
 before (``euler:1/2`` on the default schedule and ``cesaro`` on
-128,256,512,1024).
+128,256,512,1024); and four checks that pin the column windows of C12,
+C15 and C16 and the float Riesz rows: exact l1 into cs on ``cesaro`` and
+float int-bv into c0 on ``euler:1/3``, both on the overlapping schedule
+4,6,8,12,16, float l1 into c0s on ``riesz:harmonic`` at 128..1024, and
+float l1 into c on ``riesz:1,3,2`` at 3,5,7,9.
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report
@@ -56,3 +60,16 @@ def test_report_matches_the_recorded_digest(command):
     code, text = run_cli(*shlex.split(command))
     assert code == CASES[command]["exit_code"]
     assert hashlib.sha256(text.encode()).hexdigest() == CASES[command]["sha256"]
+
+
+def test_check_names_each_mismatch(capsys):
+    # ``record_golden.py --check`` replays the digests without pytest
+    from record_golden import check
+
+    command = next(iter(GOLDEN["readme"]))
+    recorded = GOLDEN["readme"][command]
+    assert check({"readme": {command: recorded}, "extra": {}}) == 0
+    assert "1 of 1 digests match" in capsys.readouterr().out
+    wrong = {**recorded, "sha256": "0" * 64}
+    assert check({"readme": {command: wrong}, "extra": {}}) == 1
+    assert capsys.readouterr().out.startswith(f"MISMATCH {command}: ")

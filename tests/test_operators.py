@@ -745,6 +745,56 @@ class TestIntegerRatioRows:
         assert InvalidWeightError in outcomes
 
 
+class _CountingSequence(LazySequence):
+    """A sequence that counts the reads of each term."""
+
+    __slots__ = ("reads",)
+
+    def at(self, k):
+        self.reads[k] = self.reads.get(k, 0) + 1
+        return super().at(k)
+
+
+def _counting(rule):
+    t = _CountingSequence(rule)
+    t.reads = {}
+    return t
+
+
+class TestRieszFloatRows:
+    """Float Riesz rows divide the kept integers a_k B by b_k A."""
+
+    def test_rows_read_each_weight_once(self):
+        t = _counting(lambda k: Fraction(1, k))
+        F = riesz_matrix(t).as_float()
+        for n in range(1, 257):
+            F.row(n, n)
+        assert t.reads == {k: 1 for k in range(1, 257)}
+
+    @pytest.mark.parametrize("weights", ["harmonic", "power:-2", "3,1/2,4,1,5/3"])
+    def test_rows_out_of_order_are_the_rounded_integer_ratios(self, weights):
+        t = parse_weight_spec(weights)[0]
+        F = riesz_matrix(t).as_float()
+        for n in (200, 3, 1, 64, 7, 2, 256, 199):
+            total = sum((t.at(k) for k in range(1, n + 1)), Fraction(0))
+            want = [float(Fraction(t.at(k).numerator * total.denominator,
+                                   t.at(k).denominator * total.numerator))
+                    for k in range(1, n + 1)]
+            assert list(map(repr, F.row(n, n))) == list(map(repr, want)), n
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-2, 3)])
+    def test_a_nonpositive_weight_is_named_from_every_later_row(self, bad):
+        t = _counting(lambda k: bad if k == 5 else Fraction(k, 2))
+        F = riesz_matrix(t).as_float()
+        for n in (9, 5, 4, 12, 6, 1):
+            if n < 5:
+                assert F.row(n, n) == [float(Fraction(k, n * (n + 1) // 2))
+                                       for k in range(1, n + 1)], n
+                continue
+            with pytest.raises(InvalidWeightError, match=r"^weight t\[5\] must be positive"):
+                F.row(n, n)
+
+
 class TestMatrixProduct:
     def test_cesaro_times_difference_telescopes(self):
         P = matrix_product(cesaro_matrix(), difference_matrix())

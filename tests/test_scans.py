@@ -3,8 +3,8 @@
 ``gray_subset_search`` is checked against a plain enumeration of every
 nonempty subset, ``column_scan`` against the entry-wise column loops it
 replaced in the condition battery (C13, C14) and the alpha check, and the
-row-wise C11/C20/C22/C23 sweeps against frozen copies of their entry-wise
-forms.
+row-wise C11/C20/C22/C23 sweeps and the one-pass column windows of
+C12/C15/C16 against frozen copies of their entry-wise forms.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumkit import classes
 from sumkit.classes import (_exhaustive_rect, _greedy_rect, _row_signs, _signed_rows,
@@ -291,12 +292,71 @@ def _frozen_subset_sums(A, sched, difference):
     return ConditionVerdict(status, upper_trace, witness=witness, aux=aux)
 
 
+def _frozen_window_defects(A, sched, window, *, to_zero):
+    """The former column windows: ``window(k, s)`` column by column, one
+    ``entry`` per cell, every column prefix summed again at every size."""
+    trace = []
+    scale = 1.0
+    for s in sched.sizes:
+        defect = A.zero()
+        for k in range(1, max(1, s // 2) + 1):
+            vals = window(k, s)
+            scale = classes._scan_scale(vals, scale)
+            osc = max(vals) - min(vals)
+            if osc > defect:
+                defect = osc
+            if to_zero:
+                mag = abs(vals[-1])
+                if mag > defect:
+                    defect = mag
+        trace.append((s, defect))
+    return trace, scale
+
+
+def _frozen_column_limits(A, sched, zero_limit):
+    """The former C12 body."""
+    def entries(k, s):
+        return [A.entry(n, k) for n in range(s // 2 + 1, s + 1)]
+
+    trace, scale = _frozen_window_defects(A, sched, entries, to_zero=zero_limit)
+    s_max = sched.max_size
+    estimates = {k: A.entry(s_max, k) for k in range(1, min(16, s_max // 2) + 1)}
+    return _verdict("C12(limit=0)" if zero_limit else "C12", trace, StatKind.DEFECT,
+                    sched, limit_estimates=estimates, scale=scale)
+
+
+def _frozen_column_sum_convergence(A, sched, to_zero):
+    """The former C15/C16 body."""
+    def partial_sums(k, s):
+        column = (A.entry(n, k) for n in range(1, s + 1))
+        return list(itertools.accumulate(column, initial=A.zero()))[s // 2 + 1:]
+
+    trace, scale = _frozen_window_defects(A, sched, partial_sums, to_zero=to_zero)
+    return _verdict("C16" if to_zero else "C15", trace, StatKind.DEFECT, sched,
+                    scale=scale, require_exact_zero=to_zero and A.exact)
+
+
 _FROZEN_SWEEPS = {
     "C11": _frozen_entry_sup,
     "C20": lambda A, sched: _frozen_subset_sums(A, sched, 0),
     "C22": lambda A, sched: _frozen_subset_sums(A, sched, +1),
     "C23": lambda A, sched: _frozen_subset_sums(A, sched, -1),
+    "C12": lambda A, sched: _frozen_column_limits(A, sched, False),
+    "C12(limit=0)": lambda A, sched: _frozen_column_limits(A, sched, True),
+    "C15": lambda A, sched: _frozen_column_sum_convergence(A, sched, False),
+    "C16": lambda A, sched: _frozen_column_sum_convergence(A, sched, True),
 }
+
+# the sweeps that read every new cell of each size; the column windows of
+# C12/C15/C16 read fewer cells, so a zero cell may lie outside them
+_ROW_SWEEPS = ["C11", "C20", "C22", "C23"]
+
+
+def _check(cid):
+    """``check_condition`` for a ``_FROZEN_SWEEPS`` key."""
+    zero_limit = cid.endswith("(limit=0)")
+    return lambda A, sched: check_condition(cid[:3], A, sched, zero_limit=zero_limit)
+
 
 SWEEP_MATRICES = {
     "cesaro": lambda: classical_matrix("cesaro"),
@@ -309,7 +369,8 @@ SWEEP_MATRICES = {
     "nonfinite-float": MATRICES["nonfinite-float"],
 }
 
-# sizes that do not double, so old rows gain columns of mixed counts
+# sizes that do not double, so old rows gain columns of mixed counts and
+# the column windows (s//2, s] of 3 and 5 overlap
 SWEEP_SCHED = TruncationSchedule((3, 5, 11, 24))
 
 
@@ -319,7 +380,7 @@ def _outcome(sweep, A, sched):
         v = sweep(A, sched)
     except Exception as exc:  # noqa: BLE001 - the error is the outcome
         return type(exc).__name__, str(exc)
-    return repr((v.status, v.trace, v.witness, v.aux))
+    return repr((v.status, v.trace, v.witness, v.limit_estimates, v.aux))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -331,7 +392,7 @@ def test_row_sweeps_match_the_entry_wise_form(cid, name, mode):
         return A.as_float() if mode == "float" else A
 
     for sched in (SCHED, SWEEP_SCHED):
-        got = _outcome(lambda A, s: check_condition(cid, A, s), make(), sched)
+        got = _outcome(_check(cid), make(), sched)
         assert got == _outcome(_FROZEN_SWEEPS[cid], make(), sched)
 
 
@@ -345,7 +406,7 @@ def test_row_sweeps_match_the_entry_wise_form(cid, name, mode):
     ("expr:1/(((n-5)^2+(k-4)^2)*((n-5)^2+(k-3)^2)*((n-7)^2+(k-1)^2))", False, "n=5, k=3"),
     ("expr:1/(((n-2)^2+(k-7)^2)*((n-2)^2+(k-6)^2)*((n-6)^2+(k-1)^2))", True, "n=2, k=6"),
 ])
-@pytest.mark.parametrize("cid", list(_FROZEN_SWEEPS))
+@pytest.mark.parametrize("cid", _ROW_SWEEPS)
 def test_row_sweeps_meet_the_same_zero_division(cid, spec, full, cell, mode):
     def make():
         A = parse_matrix_spec(spec, full=full).operator
@@ -365,3 +426,137 @@ def test_subset_sums_search_the_leading_block_once_per_depth(monkeypatch, sched,
                         lambda *args: calls.append(args) or search(*args))
     check_condition("C20", classical_matrix("cesaro").as_float(), sched)
     assert len(calls) == searches
+
+
+# -- the column windows of C12/C15/C16 against their entry-wise form --------
+
+_PALETTE = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 0.5, -3.0)
+
+
+def _drawn_triangle(seed, exact, rule_based, wide):
+    """A triangle whose rows are drawn from ``seed`` and the row index, so a
+    row is the same whatever order rows are asked in: exact fractions, or
+    floats with NaN, +-inf, -0.0 and 1e308 among them.  ``wide`` rows
+    reach two columns past the diagonal."""
+    def row(n):
+        rng = random.Random(seed * 4099 + n)
+        width = n + 2 if wide else n
+        if exact:
+            return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(width)]
+        return [rng.choice(_PALETTE) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
+                for _ in range(width)]
+
+    kind = TriangleKind.ROW_EVALUABLE if wide else TriangleKind.STRICT_TRIANGLE
+    support = (lambda n: n + 2) if wide else None
+    if rule_based:
+        def rule(n, k):
+            r = row(n)
+            return r[k - 1] if k <= len(r) else (ZERO if exact else 0.0)
+        return TriangleOperator(rule, kind=kind, row_support=support, exact=exact)
+    return TriangleOperator(build_row=row, kind=kind, row_support=support, exact=exact)
+
+
+_WINDOW_SPECS = [
+    ("expr:(n-2*k)/(n+k)", False),
+    ("expr:(n-3*k)*k/(n^2+1)", False),
+    ("expr:(k-n)/(n*k+1)", True),
+    ("expr:(k-2*n)/(n+k^2)", True),
+    # one zero cell, read by the windows of some schedules only
+    ("expr:1/((n-5)^2+(k-2)^2)", False),
+    ("expr:1/((n-3)^2+(k-4)^2)", True),
+]
+
+
+@st.composite
+def _window_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 24), min_size=3, max_size=6, unique=True))
+    sched = TruncationSchedule(tuple(sorted(sizes)))
+    source = draw(st.sampled_from(["float", "exact", "spec"]))
+    if source == "spec":
+        spec, full = draw(st.sampled_from(_WINDOW_SPECS))
+        float_mode = draw(st.booleans())
+
+        def make():
+            A = parse_matrix_spec(spec, full=full).operator
+            return A.as_float() if float_mode else A
+        return make, sched
+    seed = draw(st.integers(0, 10 ** 6))
+    rule_based, wide = draw(st.booleans()), draw(st.booleans())
+    return (lambda: _drawn_triangle(seed, source == "exact", rule_based, wide)), sched
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_window_cases(), cid=st.sampled_from(["C12", "C12(limit=0)", "C15", "C16"]))
+def test_column_windows_match_the_entry_wise_form(case, cid):
+    # sizes up to 24 with gaps of 1 or 2 overlap their windows (s//2, s]
+    make, sched = case
+    assert _outcome(_check(cid), make(), sched) == _outcome(_FROZEN_SWEEPS[cid], make(), sched)
+
+
+@pytest.mark.parametrize("sizes", [(1, 2, 3), (4, 6, 8, 12), (2, 3, 4, 5, 6)])
+@pytest.mark.parametrize("cid", ["C12", "C12(limit=0)", "C15", "C16"])
+def test_column_windows_on_overlapping_schedules(cid, sizes):
+    # rows that lie in up to four windows at once, and one-column windows
+    sched = TruncationSchedule(sizes)
+    for seed in range(8):
+        for exact in (True, False):
+            def make():
+                return _drawn_triangle(seed, exact, rule_based=seed % 2 == 0,
+                                       wide=seed % 4 < 2)
+            assert (_outcome(_check(cid), make(), sched)
+                    == _outcome(_FROZEN_SWEEPS[cid], make(), sched))
+
+
+_ROWS_ONCE = [("row", n) for n in range(1, 257)]
+
+
+@pytest.mark.parametrize("cid, reads_wanted", [
+    ("C15", _ROWS_ONCE),
+    ("C16", _ROWS_ONCE),
+    # rows 9..16, 17..32, ... once each; then the 16 limit estimates of row 256
+    ("C12", _ROWS_ONCE[8:] + [("entry", 256)] * 16),
+])
+def test_column_windows_read_each_row_once(monkeypatch, cid, reads_wanted):
+    reads = []
+    entry, row = TriangleOperator.entry, TriangleOperator.row
+    monkeypatch.setattr(TriangleOperator, "entry",
+                        lambda self, n, k: reads.append(("entry", n)) or entry(self, n, k))
+    monkeypatch.setattr(TriangleOperator, "row",
+                        lambda self, n, upto: reads.append(("row", n)) or row(self, n, upto))
+    check_condition(cid, classical_matrix("cesaro").as_float(), TruncationSchedule())
+    assert reads == reads_wanted
+
+
+def test_conditions_follow_a_sweep_that_reads_their_cells_first():
+    # C11 reads every cell C12 reads, and C14 every cell C15/C16 read, row
+    # by row; running first in every recipe, they meet any bad cell first,
+    # so a command's first error does not depend on the windows' read order
+    before = {classes.ConditionId.C12: classes.ConditionId.C11,
+              classes.ConditionId.C15: classes.ConditionId.C14,
+              classes.ConditionId.C16: classes.ConditionId.C14}
+    checked = 0
+    for table in classes._TABLES.values():
+        for conditions in table.recipes.values():
+            ids = [cid for cid, _ in conditions]
+            for i, cid in enumerate(ids):
+                if cid in before:
+                    assert before[cid] in ids[:i], (table, ids)
+                    checked += 1
+    assert len(classes._TABLES) == 6 and checked == 11
+
+
+@pytest.mark.parametrize("cid, spec, cell, old_cell", [
+    ("C12", "expr:1/(((n-10)^2+(k-3)^2)*((n-12)^2+(k-1)^2))", "n=10, k=3", "n=12, k=1"),
+    ("C15", "expr:1/(((n-3)^2+(k-2)^2)*((n-5)^2+(k-1)^2))", "n=3, k=2", "n=5, k=1"),
+    ("C16", "expr:1/(((n-3)^2+(k-2)^2)*((n-5)^2+(k-1)^2))", "n=3, k=2", "n=5, k=1"),
+])
+def test_column_windows_alone_name_the_first_bad_row(cid, spec, cell, old_cell):
+    # called on its own, a window condition meets the bad cell of the first
+    # bad row, the frozen column-by-column form that of the first bad column;
+    # in a recipe C11 or C14 runs first and names the same cell either way
+    def make():
+        return parse_matrix_spec(spec).operator
+
+    sched = TruncationSchedule()
+    assert _outcome(_check(cid), make(), sched)[1].endswith(cell)
+    assert _outcome(_FROZEN_SWEEPS[cid], make(), sched)[1].endswith(old_cell)
