@@ -63,8 +63,8 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
     extent.  Every row is built on the one weight state that ``wp`` keeps
     (``WeightPair.pairing_weights``), so each weight term is computed once,
     whatever rows are asked for and in whatever order.  Row n reads A(n,1),
-    then div_1 and d_1, then ``A.row(n, J)``, then the weights it adds: the
-    order of the entry-wise formula.  ``A`` must be row-finite (strict, or
+    then div_1 and d_1, then A(n,2..J), then the weights it adds: the order
+    of the entry-wise formula.  ``A`` must be row-finite (strict, or
     with a declared support bound).
     """
     if A.row_support is None:
@@ -76,8 +76,7 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
     extent = A.row_support
 
     def build_row(n: int) -> list:
-        return pairing_rows(lambda m, J: A.row(n, J)[m - 1:], wp, integrated,
-                            zero)(extent(n))
+        return pairing_rows(lambda m, J: A.row(n, J, m), wp, integrated, zero)(extent(n))
 
     label = "reduce-source-int-bv" if integrated else "reduce-source-d-bv"
     return TriangleOperator(build_row=build_row, kind=TriangleKind.ROW_EVALUABLE,
@@ -163,7 +162,7 @@ def _check_entry_sup(A, sched) -> ConditionVerdict:
     for s in sched.sizes:
         for n in range(1, s + 1):
             lo = prev + 1 if n <= prev else 1
-            for k, x in enumerate(A.row(n, s)[lo - 1:], lo):
+            for k, x in enumerate(A.row(n, s, lo), lo):
                 v = abs(x)
                 if v > best:
                     best = v
@@ -235,7 +234,7 @@ def _window_defects(A, sched, *, partial_sums: bool, to_zero: bool):
 def _check_column_limits(A, sched, *, zero_limit: bool) -> ConditionVerdict:
     trace, scale = _window_defects(A, sched, partial_sums=False, to_zero=zero_limit)
     s_max = sched.max_size
-    estimates = {k: A.entry(s_max, k) for k in range(1, min(16, s_max // 2) + 1)}
+    estimates = dict(enumerate(A.row(s_max, min(16, s_max // 2)), 1))
     return _verdict("C12(limit=0)" if zero_limit else "C12", trace, StatKind.DEFECT,
                     sched, limit_estimates=estimates, scale=scale)
 
@@ -254,7 +253,7 @@ def _check_row_tails(A, sched) -> ConditionVerdict:
         half = s // 2
         defect = A.zero()
         for n in range(1, max(1, half) + 1):
-            vals = [abs(A.entry(n, k)) for k in range(half + 1, s + 1)]
+            vals = [abs(v) for v in A.row(n, s, half + 1)]
             scale = _scan_scale(vals, scale)
             for k, v in enumerate(vals, half + 1):
                 if v > defect:
@@ -274,23 +273,24 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
     bound to stabilize; divergence evidence requires the lower bound to
     grow through a growth window.
 
-    Each size reads every row once with ``A.row`` (C22 one column further)
-    and takes its cells from the first column not read at an earlier size.
+    Each size reads every row once with ``A.row`` (C22 one column further),
+    from the first column not read at an earlier size (C23 one column
+    before it).
     """
     zero = A.zero()
     if difference == 0:
         def cells(n: int, lo: int, s: int) -> list:
-            return A.row(n, s)[lo - 1:]
+            return A.row(n, s, lo)
         label = "C20"
     elif difference > 0:
         def cells(n: int, lo: int, s: int) -> list:
-            r = A.row(n, s + 1)
-            return [x - y for x, y in zip(r[lo - 1:], r[lo:])]
+            r = A.row(n, s + 1, lo)
+            return [x - y for x, y in zip(r, r[1:])]
         label = "C22"
     else:
         def cells(n: int, lo: int, s: int) -> list:
-            r = [zero] + A.row(n, s)
-            return [x - y for x, y in zip(r[lo:], r[lo - 1:])]
+            r = A.row(n, s, lo - 1) if lo > 1 else [zero] + A.row(n, s)
+            return [x - y for x, y in zip(r[1:], r)]
         label = "C23"
 
     n_max = sched.max_size
@@ -509,7 +509,7 @@ class CompositeTarget:
     is checked by composing the generator on the target side and asking for
     boundedness."""
 
-    family: str  # a MATRIX_FAMILIES name: euler | riesz | cesaro | taylor
+    family: str  # a MATRIX_FAMILIES name whose family is ``composite``
     param: object = None
 
     def describe(self) -> str:
@@ -576,7 +576,7 @@ def _beta_prerequisite(A: TriangleOperator, wp: WeightPair, space: SpaceName,
     """
     rows = min(row_limit, sched.max_size)
     statuses = {}
-    worst: Optional[ConditionVerdict] = None
+    worst: Optional[ConditionVerdict] = None  # the first row of the worst status
     worst_row = 1
     for n in range(1, rows + 1):
         seq = A.row_sequence(n)
@@ -589,9 +589,8 @@ def _beta_prerequisite(A: TriangleOperator, wp: WeightPair, space: SpaceName,
         if worst is None or _VERDICT_RANK[verdict.status] < _VERDICT_RANK[worst.status]:
             worst = verdict
             worst_row = n
-    combined = combine_conjunctive(statuses.values())
     return ConditionVerdict(
-        status=combined,
+        status=worst.status,
         trace=worst.trace,
         witness={"row": worst_row},
         aux={

@@ -29,8 +29,8 @@ from .classes import (CompositeTarget, characterize, reduction_roundtrip_sides,
 from .errors import SumkitError, SpecParseError
 from .minilang import (parse_family_spec, parse_matrix_spec, parse_schedule_spec,
                        parse_sequence_spec, parse_weight_spec)
-from .operators import (WeightPair, apply_triangle, invert_triangle, basis_column,
-                        basis_tabulated_discrepancies)
+from .operators import (MATRIX_FAMILIES, WeightPair, apply_triangle, invert_triangle,
+                        basis_column, basis_tabulated_discrepancies)
 from .spaces import SpaceName, domain_norm, domain_space, embed_from_l1
 
 SCHEMA_VERSION = 1
@@ -48,8 +48,6 @@ _EXIT_CODES = {
 
 _SPACES = tuple(name.value for name in SpaceName)
 _CLASSICAL_TARGETS = {tag.value for tag in SpaceTag} | set(_SPACES)
-# matrix families whose bounded domain is a composite --target
-_COMPOSITE_FAMILIES = {"cesaro", "euler", "taylor", "riesz"}
 # integer flags that count from 1 wherever a command has them
 _COUNT_FLAGS = ("n", "k", "row_bound")
 
@@ -227,7 +225,7 @@ def _parse_target(text: str):
     if body in _CLASSICAL_TARGETS:
         return body
     family = parse_family_spec(body)
-    if family is None or family[0] not in _COMPOSITE_FAMILIES:
+    if family is None or not MATRIX_FAMILIES[family[0]].composite:
         raise SpecParseError(f"unknown target space {text!r}")
     name, param, _ = family
     return CompositeTarget(name, param)
@@ -365,16 +363,8 @@ def _cmd_class_check(args, sched) -> _CommandResult:
                           table=args.table,
                           row_bound=args.row_bound,
                           beta_row_limit=args.beta_row_limit)
-    traces = {}
-    seen = {}
-    for cid, _zl, verdict in report.conditions:
-        key = cid.value
-        if key in seen:  # same condition twice in one recipe: suffix
-            seen[key] += 1
-            key = f"{key}-{seen[key]}"
-        else:
-            seen[key] = 1
-        traces[key] = verdict.trace
+    # no recipe lists a condition twice, so each trace has its own key
+    traces = {cid.value: verdict.trace for cid, _, verdict in report.conditions}
     if report.beta_prerequisite is not None:
         traces["beta"] = report.beta_prerequisite.trace
     method = {
@@ -473,8 +463,7 @@ def _write_matrix_csv(path: str, op, size: int) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)
         for n in range(1, size + 1):
-            writer.writerow([scalar_to_json(op.entry(n, k))
-                             for k in range(1, size + 1)])
+            writer.writerow([scalar_to_json(v) for v in op.row(n, size)])
 
 
 def run(argv=None, out=None) -> int:

@@ -142,6 +142,8 @@ class TriangleOperator:
     is the contract (``expr:``, ``csv:``) and infinite rows (``taylor:``,
     ``expr: --full``, products whose right factor has such rows).
 
+    ``row(n, upto, start)`` is the one read of consecutive cells.
+
     The rational classical matrices (Riesz, Cesàro, Euler, identity,
     difference) give a ratio row builder ``(n, ratio) -> row``: each entry
     is an integer ratio ``ratio(p, q)``, and the operator passes
@@ -205,13 +207,15 @@ class TriangleOperator:
             self._memo[key] = v
         return v
 
-    def row(self, n: int, upto: int) -> list[Scalar]:
-        if self._rows is None or n < 1:
-            return [self.entry(n, k) for k in range(1, upto + 1)]
-        row = self._built_row(n)
-        if upto <= len(row):
-            return row[:upto]
-        return row + [self.zero()] * (upto - len(row))
+    def row(self, n: int, upto: int, start: int = 1) -> list[Scalar]:
+        """The cells (n, start), ..., (n, upto) as a fresh list, empty when
+        upto < start: a slice of the kept row, padded with zeros, or
+        ``entry(n, k)`` for each k in ascending order."""
+        if self._rows is None or n < 1 or start < 1:
+            return [self.entry(n, k) for k in range(start, upto + 1)]
+        cells = self._built_row(n)[start - 1:upto]
+        missing = upto - start + 1 - len(cells)
+        return cells + [self.zero()] * missing if missing > 0 else cells
 
     def row_sequence(self, n: int) -> LazySequence:
         """Row ``n`` viewed as a lazy sequence over the column index."""
@@ -255,7 +259,7 @@ class TriangleOperator:
 
 def truncation(T: TriangleOperator, n: int) -> list[list[Scalar]]:
     """Dense n-by-n leading block of ``T``."""
-    return [[T.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return [T.row(i, n) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,34 +275,6 @@ def weighted_mean_triangle(wp: WeightPair) -> TriangleOperator:
 
     return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
                             exact=wp.exact, label="weighted-mean")
-
-
-def _bv_rows(wp: WeightPair, factor, X: Callable[[int], object], start, axpy,
-             scale, skip_zero: bool) -> Callable[[int], object]:
-    """Rows of T X, T the bv triangle with diagonal and off-diagonal factor
-    ``factor`` (n, resp. 1/n) and ``X(j)`` the rows of X:
-
-        row n = u_n * (S_{n-1} + factor(n) * w_n * X_n),
-        S_m = sum_{j<=m} factor(j) * (w_j - w_{j+1}) * X_j,
-
-    with ``S_0 = start``, ``axpy(s, c, x) = s + c * x`` and
-    ``scale(u, s) = u * s`` taken on a scalar x_j (X a sequence) or entry
-    by entry on a row of A.  Each S_m is kept.  With ``skip_zero`` an X_j
-    whose coefficient is zero is not read.  Row n reads u_n, then
-    (w_j - w_{j+1}) and X_j for the j < n that S does not cover yet, then
-    w_n and X_n.
-    """
-    S = [start]
-
-    def row(n: int):
-        u = wp.u_at(n)
-        while len(S) < n:
-            j = len(S)
-            c = factor(j) * wp.w_forward_diff(j)
-            S.append(S[-1] if skip_zero and c == 0 else axpy(S[-1], c, X(j)))
-        return scale(u, axpy(S[n - 1], factor(n) * wp.w_at(n), X(n)))
-
-    return row
 
 
 def _bv_factor(integrated: bool, exact: bool) -> Callable[[int], Scalar]:
@@ -319,8 +295,10 @@ def _bv_triangle(wp: WeightPair, integrated: bool) -> TriangleOperator:
         return row
 
     def apply_special(T: TriangleOperator, x: LazySequence, row_bound):
-        return _bv_rows(wp, factor, x.at, T.zero(), lambda s, c, v: s + c * v,
-                        operator.mul, skip_zero=False)
+        # (T x)_n = u_n (S(n-1) + f(n) w_n x_n), S(m) the sum over j <= m of
+        # f(j) (w_j - w_{j+1}) x_j; term n reads u_n, the new S terms, w_n, x_n
+        S = running_sums(lambda j: factor(j) * wp.w_forward_diff(j) * x.at(j), T.zero())
+        return lambda n: wp.u_at(n) * (S(n - 1) + factor(n) * wp.w_at(n) * x.at(n))
 
     return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
                             exact=wp.exact, apply_special=apply_special,
@@ -339,30 +317,35 @@ def bv_triangle_product(wp: WeightPair, A: TriangleOperator, *, integrated: bool
                         label: str) -> TriangleOperator:
     """T A for T the integrated (resp. differentiated) triangle of ``wp``.
 
-    Exact, with a strict ``A``, row n is the bv recurrence of ``_bv_rows``
-    over the rows of A: O(n) work per row, O(N^2) for N rows, where the
-    product takes O(N^3).  It reads T's row n first and skips every A_j
-    with T(n,j) = 0, as ``matrix_product`` does, so the same weight or
-    entry fails first.  In float mode, or when A is not a strict triangle,
-    it is ``matrix_product``, whose summation order the float values keep;
-    under a constant u each off-diagonal row of T repeats the row before
-    it, so the product resumes every row and N rows cost O(N^2) there too.
+    Exact, with a strict ``A``, row n is u_n (S_{n-1} + f(n) w_n A_n) over
+    the rows A_j of A, f(n) = n resp. 1/n, and S_m the kept sum over j <= m
+    of f(j) (w_j - w_{j+1}) A_j: O(n) work per row, O(N^2) for N rows,
+    where the product takes O(N^3).  It reads T's row n first and skips
+    every A_j with T(n,j) = 0, as ``matrix_product`` does, so the same
+    weight or entry fails first.  In float mode, or when A is not a strict
+    triangle, it is ``matrix_product``, whose summation order the float
+    values keep; under a constant u each off-diagonal row of T repeats the
+    row before it, so the product resumes every row and N rows cost O(N^2)
+    there too.
     """
     T = _bv_triangle(wp, integrated)
     if not (wp.exact and A.exact) or A.kind is not TriangleKind.STRICT_TRIANGLE:
         return matrix_product(T, A, label=label)
-    zero = Fraction(0)
+    factor = _bv_factor(integrated, True)
+    S: list[list] = [[]]
 
-    def axpy(s: list, c: Scalar, x: list) -> list:
+    def add_row(s: list, c: Scalar, j: int) -> list:
         # a kept sum is shorter than the row of A it meets: zeros pad it
-        return [a + c * v for a, v in zip(s + [zero] * (len(x) - len(s)), x)]
-
-    rows = _bv_rows(wp, _bv_factor(integrated, True), lambda j: A.row(j, j), [], axpy,
-                    lambda u, s: [u * v for v in s], skip_zero=True)
+        return [a + c * v for a, v in zip(s + [Fraction(0)] * (j - len(s)), A.row(j, j))]
 
     def build_row(n: int) -> list[Scalar]:
         T.row(n, n)  # the weights of row n, before any row of A
-        return rows(n)
+        u = wp.u_at(n)
+        while len(S) < n:
+            j = len(S)
+            c = factor(j) * wp.w_forward_diff(j)
+            S.append(S[-1] if c == 0 else add_row(S[-1], c, j))
+        return [u * v for v in add_row(S[n - 1], factor(n) * wp.w_at(n), n)]
 
     return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
                             exact=True, label=label)
@@ -422,8 +405,8 @@ def invert_triangle(T: TriangleOperator, y: LazySequence) -> LazySequence:
             if diag == 0:
                 raise SingularTriangleError(i)
             acc = y.at(i)
-            for k in range(1, i):
-                acc = acc - T.entry(i, k) * memo[k]
+            for k, v in enumerate(T.row(i, i - 1), 1):
+                acc = acc - v * memo[k]
             memo[i] = acc / diag
 
     def rule(n: int) -> Scalar:
@@ -453,9 +436,7 @@ def integrated_inverse(wp: WeightPair, y: LazySequence) -> LazySequence:
     x_k = (1/k) * [ sum_{j<k} (1/u_j)(1/w_j - 1/w_{j+1}) y_j + y_k/(u_k w_k) ].
     """
     core, exact = _inverse_core(wp, y)
-    if exact:
-        return LazySequence(lambda k: core(k) / k, exact=True, label="integrated-inverse")
-    return LazySequence(lambda k: core(k) / float(k), exact=False, label="integrated-inverse")
+    return LazySequence(lambda k: core(k) / k, exact=exact, label="integrated-inverse")
 
 
 def differentiated_inverse(wp: WeightPair, y: LazySequence) -> LazySequence:
@@ -463,10 +444,7 @@ def differentiated_inverse(wp: WeightPair, y: LazySequence) -> LazySequence:
     x_k = k * [ sum_{j<k} (1/u_j)(1/w_j - 1/w_{j+1}) y_j + y_k/(u_k w_k) ].
     """
     core, exact = _inverse_core(wp, y)
-    if exact:
-        return LazySequence(lambda k: core(k) * k, exact=True, label="differentiated-inverse")
-    return LazySequence(lambda k: core(k) * float(k), exact=False,
-                        label="differentiated-inverse")
+    return LazySequence(lambda k: core(k) * k, exact=exact, label="differentiated-inverse")
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +482,7 @@ def basis_column_tabulated(space: str, wp: WeightPair, k: int) -> LazySequence:
         if n == k:
             diag = wp.u_at(k) * wp.w_at(k)
             return 1 / (n * diag) if name is SpaceName.INT_BV else n / diag
-        f = factor(k)
-        if name is SpaceName.INT_BV:
-            return f / n if exact else f / float(n)
-        return f * n
+        return factor(k) / n if name is SpaceName.INT_BV else factor(k) * n
 
     return LazySequence(rule, exact=exact, label="basis-tabulated")
 
@@ -638,8 +613,8 @@ def taylor_row_tail(r, n: int, j_max: int) -> Scalar:
     """
     T = taylor_matrix(r)
     partial = T.zero()
-    for j in range(n, j_max + 1):
-        partial += T.entry(n, j)
+    for v in T.row(n, j_max, n):
+        partial += v
     return 1 - partial
 
 
@@ -662,15 +637,16 @@ def identity_matrix() -> TriangleOperator:
 class MatrixFamily(NamedTuple):
     build: Callable[..., TriangleOperator]
     param: Optional[str]  # None, "rational" or "weights"
+    composite: bool  # its bounded domain is a composite target
 
 
 MATRIX_FAMILIES = {
-    "identity": MatrixFamily(identity_matrix, None),
-    "cesaro": MatrixFamily(cesaro_matrix, None),
-    "difference": MatrixFamily(difference_matrix, None),
-    "euler": MatrixFamily(euler_matrix, "rational"),
-    "taylor": MatrixFamily(taylor_matrix, "rational"),
-    "riesz": MatrixFamily(riesz_matrix, "weights"),
+    "identity": MatrixFamily(identity_matrix, None, False),
+    "cesaro": MatrixFamily(cesaro_matrix, None, True),
+    "difference": MatrixFamily(difference_matrix, None, False),
+    "euler": MatrixFamily(euler_matrix, "rational", True),
+    "taylor": MatrixFamily(taylor_matrix, "rational", True),
+    "riesz": MatrixFamily(riesz_matrix, "weights", True),
 }
 
 

@@ -11,6 +11,8 @@ import json
 import pytest
 from conftest import run_cli
 
+from sumkit import classes
+
 
 def run_json(*argv):
     code, text = run_cli(*argv)
@@ -213,6 +215,15 @@ class TestClassCheck:
                 rows = list(csv.reader(fh))
             assert rows[0] == ["N", "statistic"]
             assert [int(r[0]) for r in rows[1:]] == [16, 32, 64, 128, 256]
+
+    def test_no_recipe_lists_a_condition_twice(self):
+        # the trace CSVs are keyed by condition, so a repeat would drop one
+        recipes = [conditions for table in classes._TABLES.values()
+                   for conditions in table.recipes.values()]
+        assert len(recipes) == 36
+        for conditions in recipes:
+            ids = [cid for cid, _ in conditions]
+            assert len(set(ids)) == len(ids), ids
 
     def test_matrix_csv_dumps_first_truncation(self, tmp_path):
         path = tmp_path / "matrix.csv"
@@ -501,6 +512,10 @@ class TestErrorsAndVersion:
           "--matrix", "expr:1/(((n-3)^2+(k-2)^2)*((n-5)^2+(k-1)^2))"),
          "expression '1/(((n-3)^2+(k-2)^2)*((n-5)^2+(k-1)^2))' divides by zero "
          "at n=3, k=2"),
+        # C21 reads rows 1..8 of size 16 from column 9 on: row 2 fails first
+        (("class-check", "--table", "2", "--source", "bs", "--target", "l1",
+          "--matrix", "expr:1/(n-2)", "--full"),
+         "expression '1/(n-2)' divides by zero at n=2, k=9"),
         (("class-check", "--source", "l1", "--target", "c", "--matrix", "riesz:1,0,2"),
          "weight t[2] must be positive for a Riesz matrix"),
         (("class-check", "--source", "l1", "--target", "c", "--matrix", "riesz:1,2,-1,3"),

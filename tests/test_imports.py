@@ -57,3 +57,37 @@ def test_no_builtin_sum(path):
 def test_a_sum_call_is_caught():
     tree = ast.parse("total = sum(map(abs, acc), zero)\ndef partial_sum(x):\n    return x\n")
     assert builtin_sum_calls(tree) == [1]
+
+
+# the one entry-wise walk left in the battery and the CLI: the roundtrip
+# reads each row descending, then ascending, as a fresh evaluation would
+ENTRY_WALKS_ALLOWED = {"reduction_roundtrip_sides"}
+
+
+def entry_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(top-level definition, line) of every ``.entry(`` call in ``tree``."""
+    calls = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        calls.extend((owner, node.lineno) for node in ast.walk(top)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "entry")
+    return calls
+
+
+@pytest.mark.parametrize("name", ["classes.py", "cli.py"])
+def test_cells_are_read_by_rows(name):
+    # consecutive cells come from one ``row(n, upto, start)`` read
+    path = next(path for path in SOURCES if path.name == name)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    walks = [call for call in entry_calls(tree) if call[0] not in ENTRY_WALKS_ALLOWED]
+    assert not walks, f"{name} reads entries one by one at {walks}"
+
+
+def test_an_entry_walk_is_caught():
+    tree = ast.parse("def reduction_roundtrip_sides(B):\n    def sides(n):\n"
+                     "        return B.entry(n, 1)\n"
+                     "def scan(A):\n    return [A.entry(1, k) for k in range(3)]\n"
+                     "x = A.entry(1, 1)\ny = entry(1, 1)\n")
+    assert entry_calls(tree) == [("reduction_roundtrip_sides", 3), ("scan", 5),
+                                 ("<module>", 6)]

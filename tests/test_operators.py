@@ -49,6 +49,18 @@ from test_acceptance import SEED, exact_sequence, weight_pair
 WP_ONES = WeightPair.all_ones()
 WP_HARM = WeightPair(ones(), harmonic())
 
+# row-built and rule-based, strict and row-evaluable (a bounded product has
+# a declared support, the rule-based ones infinite rows)
+_ROW_RANGE_MATRICES = {
+    "cesaro": cesaro_matrix,
+    "integrated": lambda: integrated_triangle(WP_HARM),
+    "bounded-product": lambda: matrix_product(taylor_matrix(Fraction(1, 2)), cesaro_matrix(),
+                                              left_row_bound=6),
+    "expr-strict": lambda: parse_matrix_spec("expr:(n-2*k)/(n+k)").operator,
+    "expr-full": lambda: parse_matrix_spec("expr:(k-n)/(n*k+1)", full=True).operator,
+    "taylor": lambda: taylor_matrix(Fraction(1, 3)),
+}
+
 
 class TestWeightPair:
     def test_zero_weight_is_named(self):
@@ -133,6 +145,41 @@ class TestTriangleEntries:
     def test_truncation_block(self):
         block = truncation(integrated_triangle(WP_ONES), 3)
         assert block == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+
+    @pytest.mark.parametrize("name", list(_ROW_RANGE_MATRICES))
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_row_range_is_the_entries(self, name, exact):
+        # whole rows, rows past the diagonal or the support, a start past
+        # the row's end, one cell, and upto < start (no cells)
+        def make():
+            A = _ROW_RANGE_MATRICES[name]()
+            return A if exact else A.as_float()
+
+        A, B = make(), make()
+        for n, upto, start in [(1, 1, 1), (5, 5, 1), (5, 9, 3), (5, 9, 7), (6, 6, 6),
+                               (7, 12, 12), (5, 3, 4), (4, 0, 1), (9, 8, 9)]:
+            want = [B.entry(n, k) for k in range(start, upto + 1)]
+            assert repr(A.row(n, upto, start)) == repr(want), (n, upto, start)
+
+    def test_row_range_reads_a_rule_as_entry_does(self):
+        # each new cell once, in ascending k; a kept cell is not read again
+        calls = []
+
+        def rule(n, k):
+            calls.append((n, k))
+            return Fraction(n, k)
+
+        T = TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE)
+        assert T.row(4, 7, 3) == [Fraction(4, k) for k in range(3, 8)]
+        assert T.row(4, 8, 2) == [Fraction(4, k) for k in range(2, 9)]
+        assert T.row(4, 1, 2) == []
+        assert calls == [(4, k) for k in range(3, 8)] + [(4, 2), (4, 8)]
+
+    def test_row_range_is_a_fresh_list(self):
+        T = cesaro_matrix()
+        T.row(3, 3, 2)[0] = 99
+        T.row(3, 3)[0] = 99
+        assert T.row(3, 3) == [Fraction(1, 3)] * 3
 
     def test_row_sequence_support(self):
         G = integrated_triangle(WP_ONES)

@@ -3,7 +3,7 @@
 ``gray_subset_search`` is checked against a plain enumeration of every
 nonempty subset, ``column_scan`` against the entry-wise column loops it
 replaced in the condition battery (C13, C14) and the alpha check, and the
-row-wise C11/C20/C22/C23 sweeps and the one-pass column windows of
+row-wise C11/C20/C21/C22/C23 sweeps and the one-pass column windows of
 C12/C15/C16 against frozen copies of their entry-wise forms.
 """
 
@@ -218,7 +218,7 @@ def test_nonfinite_columns_differ_between_sum_and_peak():
     assert repr(sums) != repr(peaks)
 
 
-# -- the entry-wise sweeps the row-wise C11, C20, C22 and C23 replaced ------
+# -- the entry-wise sweeps the row-wise C11, C20, C21, C22 and C23 replaced
 
 
 def _frozen_entry_sup(A, sched):
@@ -292,6 +292,26 @@ def _frozen_subset_sums(A, sched, difference):
     return ConditionVerdict(status, upper_trace, witness=witness, aux=aux)
 
 
+def _frozen_row_tails(A, sched):
+    """The former C21 body: one ``entry`` per cell of rows 1..s/2 and
+    columns s/2+1..s at every size s."""
+    trace = []
+    scale = 1.0
+    witness = None
+    for s in sched.sizes:
+        half = s // 2
+        defect = A.zero()
+        for n in range(1, max(1, half) + 1):
+            vals = [abs(A.entry(n, k)) for k in range(half + 1, s + 1)]
+            scale = classes._scan_scale(vals, scale)
+            for k, v in enumerate(vals, half + 1):
+                if v > defect:
+                    defect = v
+                    witness = {"row": n, "col": k}
+        trace.append((s, defect))
+    return _verdict("C21", trace, StatKind.DEFECT, sched, witness=witness, scale=scale)
+
+
 def _frozen_window_defects(A, sched, window, *, to_zero):
     """The former column windows: ``window(k, s)`` column by column, one
     ``entry`` per cell, every column prefix summed again at every size."""
@@ -345,6 +365,7 @@ _FROZEN_SWEEPS = {
     "C12(limit=0)": lambda A, sched: _frozen_column_limits(A, sched, True),
     "C15": lambda A, sched: _frozen_column_sum_convergence(A, sched, False),
     "C16": lambda A, sched: _frozen_column_sum_convergence(A, sched, True),
+    "C21": _frozen_row_tails,
 }
 
 # the sweeps that read every new cell of each size; the column windows of
@@ -493,6 +514,15 @@ def test_column_windows_match_the_entry_wise_form(case, cid):
     assert _outcome(_check(cid), make(), sched) == _outcome(_FROZEN_SWEEPS[cid], make(), sched)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=_window_cases(), cid=st.sampled_from(_ROW_SWEEPS + ["C21"]))
+def test_row_range_reads_match_the_entry_wise_form(case, cid):
+    # the sweeps read each row from a start column: on rows of mixed widths,
+    # with one-column sizes and drawn schedules, they equal the entry walk
+    make, sched = case
+    assert _outcome(_check(cid), make(), sched) == _outcome(_FROZEN_SWEEPS[cid], make(), sched)
+
+
 @pytest.mark.parametrize("sizes", [(1, 2, 3), (4, 6, 8, 12), (2, 3, 4, 5, 6)])
 @pytest.mark.parametrize("cid", ["C12", "C12(limit=0)", "C15", "C16"])
 def test_column_windows_on_overlapping_schedules(cid, sizes):
@@ -514,17 +544,31 @@ _ROWS_ONCE = [("row", n) for n in range(1, 257)]
     ("C15", _ROWS_ONCE),
     ("C16", _ROWS_ONCE),
     # rows 9..16, 17..32, ... once each; then the 16 limit estimates of row 256
-    ("C12", _ROWS_ONCE[8:] + [("entry", 256)] * 16),
+    ("C12", _ROWS_ONCE[8:] + [("row", 256)]),
 ])
 def test_column_windows_read_each_row_once(monkeypatch, cid, reads_wanted):
+    assert _cesaro_reads(monkeypatch, cid) == reads_wanted
+
+
+def test_row_tails_read_rows_and_no_entry(monkeypatch):
+    # C21 reads rows 1..s/2 from column s/2 + 1 on, one row read each
+    sizes = TruncationSchedule().sizes
+    assert _cesaro_reads(monkeypatch, "C21") == [("row", n) for s in sizes
+                                                 for n in range(1, s // 2 + 1)]
+
+
+def _cesaro_reads(monkeypatch, cid):
+    """The ``entry`` and ``row`` reads of condition ``cid`` on float Cesàro
+    at the default schedule, as (method, row index) pairs."""
     reads = []
     entry, row = TriangleOperator.entry, TriangleOperator.row
     monkeypatch.setattr(TriangleOperator, "entry",
                         lambda self, n, k: reads.append(("entry", n)) or entry(self, n, k))
     monkeypatch.setattr(TriangleOperator, "row",
-                        lambda self, n, upto: reads.append(("row", n)) or row(self, n, upto))
+                        lambda self, n, upto, start=1:
+                        reads.append(("row", n)) or row(self, n, upto, start))
     check_condition(cid, classical_matrix("cesaro").as_float(), TruncationSchedule())
-    assert reads == reads_wanted
+    return reads
 
 
 def test_conditions_follow_a_sweep_that_reads_their_cells_first():
