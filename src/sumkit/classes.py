@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from operator import add
 from typing import Callable, NamedTuple, Optional
 
 from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceTag,
@@ -253,6 +251,8 @@ def _check_row_tails(A, sched) -> ConditionVerdict:
         half = s // 2
         defect = A.zero()
         for n in range(1, max(1, half) + 1):
+            if A.extent(n, s) <= half:
+                continue  # its cells past column s/2 are zeros
             vals = [abs(v) for v in A.row(n, s, half + 1)]
             scale = _scan_scale(vals, scale)
             for k, v in enumerate(vals, half + 1):
@@ -382,12 +382,7 @@ def _greedy_rect(fb, s: int) -> tuple[float, dict]:
             best = value
             chosen.append(k)
             rowsum = candidate
-    pos_rows = [n for n, v in enumerate(rowsum, 1) if v > 0.0]
-    neg_rows = [n for n, v in enumerate(rowsum, 1) if v < 0.0]
-    pos = reduce(add, (rowsum[n - 1] for n in pos_rows), 0.0)
-    neg = -reduce(add, (rowsum[n - 1] for n in neg_rows), 0.0)
-    rows = pos_rows if pos >= neg else neg_rows
-    return best, {"rows": rows[:24], "cols": chosen[:24], "method": "greedy"}
+    return best, {"rows": _signed_rows(rowsum)[:24], "cols": chosen[:24], "method": "greedy"}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ exact values are printed as fraction strings, and repeated runs with the
 same inputs produce identical bytes.
 
 Exit codes: 0 success / verdict holds / sides match; 2 divergence
-evidence or mismatch; 3 inconclusive; 1 usage or input errors.
+evidence or mismatch; 3 inconclusive; 1 usage or input errors, including
+an output file that cannot be written.  Files are written before the
+report is printed, so an exit 1 prints no report.
 """
 
 from __future__ import annotations
@@ -243,21 +245,19 @@ def _check_counts(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_transform(args, sched) -> _CommandResult:
-    mode = args.mode
-    wp, wcanon = _weights(args, mode)
-    seq, seq_canon = _sequence(args.x, mode)
+def _cmd_transform(args, sched, wp) -> _CommandResult:
+    seq, seq_canon = _sequence(args.x, args.mode)
     warnings: list[str] = []
     if args.space is not None:
         space = domain_space(SpaceName(args.space), wp)
         op = space.triangle
         matrix_canon = None
     else:
-        op, matrix_canon, notes = _matrix(args.matrix, mode)
+        op, matrix_canon, notes = _matrix(args.matrix, args.mode)
         warnings.extend(notes)
     y = apply_triangle(op, seq, row_bound=args.row_bound)
     values = [y.at(n) for n in range(1, args.n + 1)]
-    inputs = {"x": seq_canon, "n": args.n, **wcanon}
+    inputs = {"x": seq_canon, "n": args.n}
     if matrix_canon is not None:
         inputs["matrix"] = matrix_canon
     else:
@@ -271,20 +271,18 @@ def _cmd_transform(args, sched) -> _CommandResult:
     )
 
 
-def _cmd_inverse(args, sched) -> _CommandResult:
-    mode = args.mode
-    wp, wcanon = _weights(args, mode)
-    seq, seq_canon = _sequence(args.y, mode)
+def _cmd_inverse(args, sched, wp) -> _CommandResult:
+    seq, seq_canon = _sequence(args.y, args.mode)
     warnings: list[str] = []
     if args.space is not None:
         x = embed_from_l1(domain_space(SpaceName(args.space), wp), seq)
-        inputs = {"space": args.space, "y": seq_canon, "n": args.n, **wcanon}
+        inputs = {"space": args.space, "y": seq_canon, "n": args.n}
         method = {"operation": "closed-form-inverse"}
     else:
-        op, matrix_canon, notes = _matrix(args.matrix, mode)
+        op, matrix_canon, notes = _matrix(args.matrix, args.mode)
         warnings.extend(notes)
         x = invert_triangle(op, seq)
-        inputs = {"matrix": matrix_canon, "y": seq_canon, "n": args.n, **wcanon}
+        inputs = {"matrix": matrix_canon, "y": seq_canon, "n": args.n}
         method = {"operation": "back-substitution"}
     values = [x.at(n) for n in range(1, args.n + 1)]
     return _CommandResult(
@@ -296,24 +294,20 @@ def _cmd_inverse(args, sched) -> _CommandResult:
     )
 
 
-def _cmd_norm(args, sched) -> _CommandResult:
-    mode = args.mode
-    wp, wcanon = _weights(args, mode)
-    seq, seq_canon = _sequence(args.x, mode)
+def _cmd_norm(args, sched, wp) -> _CommandResult:
+    seq, seq_canon = _sequence(args.x, args.mode)
     size = args.n if args.n is not None else sched.max_size
     space = domain_space(SpaceName(args.space), wp)
     value = domain_norm(space, seq, size)
     return _CommandResult(
-        inputs={"space": args.space, "x": seq_canon, "n": size, **wcanon},
+        inputs={"space": args.space, "x": seq_canon, "n": size},
         outputs={"norm": scalar_to_json(value), "size": size},
         status="SUCCESS",
         method={"operation": "domain-norm"},
     )
 
 
-def _cmd_basis(args, sched) -> _CommandResult:
-    mode = args.mode
-    wp, wcanon = _weights(args, mode)
+def _cmd_basis(args, sched, wp) -> _CommandResult:
     space = SpaceName(args.space)
     col = basis_column(space, wp, args.k)
     values = [col.at(n) for n in range(1, args.n + 1)]
@@ -324,7 +318,7 @@ def _cmd_basis(args, sched) -> _CommandResult:
             "tabulated closed form disagrees with the defining identity at "
             f"positions {bad}; the defining-identity column is reported")
     return _CommandResult(
-        inputs={"space": args.space, "k": args.k, "n": args.n, **wcanon},
+        inputs={"space": args.space, "k": args.k, "n": args.n},
         outputs={"values": _values_json(values)},
         status="SUCCESS",
         method={"operation": "basis-column"},
@@ -332,10 +326,8 @@ def _cmd_basis(args, sched) -> _CommandResult:
     )
 
 
-def _cmd_dual_check(args, sched) -> _CommandResult:
-    mode = args.mode
-    wp, wcanon = _weights(args, mode)
-    seq, seq_canon = _sequence(args.a, mode)
+def _cmd_dual_check(args, sched, wp) -> _CommandResult:
+    seq, seq_canon = _sequence(args.a, args.mode)
     space = SpaceName(args.space)
     checker = {"alpha": alpha_dual_check, "beta": beta_dual_check,
                "gamma": gamma_dual_check}[args.kind]
@@ -345,7 +337,7 @@ def _cmd_dual_check(args, sched) -> _CommandResult:
         notes.append(CORRECTION_NOTES["beta-kernel-summand"])
         notes.append(CORRECTION_NOTES["row-sum-statistic"])
     return _CommandResult(
-        inputs={"space": args.space, "kind": args.kind, "a": seq_canon, **wcanon},
+        inputs={"space": args.space, "kind": args.kind, "a": seq_canon},
         outputs={"verdict": verdict.to_dict()},
         status=verdict.status.value,
         method={"operation": f"{args.kind}-dual-check", "notes": notes},
@@ -353,10 +345,8 @@ def _cmd_dual_check(args, sched) -> _CommandResult:
     )
 
 
-def _cmd_class_check(args, sched) -> _CommandResult:
-    mode = args.mode
-    wp, wcanon = _weights(args, mode)
-    op, matrix_canon, warnings = _matrix(args.matrix, mode, full=args.full)
+def _cmd_class_check(args, sched, wp) -> _CommandResult:
+    op, matrix_canon, warnings = _matrix(args.matrix, args.mode, full=args.full)
     source = args.source.strip().lower()
     target = _parse_target(args.target)
     report = characterize(op, source, target, wp, sched,
@@ -375,7 +365,7 @@ def _cmd_class_check(args, sched) -> _CommandResult:
         "notes": [CORRECTION_NOTES["kernel-orientation"]],
     }
     inputs = {"matrix": matrix_canon, "source": source,
-              "target": args.target.strip().lower(), **wcanon}
+              "target": args.target.strip().lower()}
     if args.table is not None:
         inputs["table"] = args.table
     return _CommandResult(
@@ -389,18 +379,15 @@ def _cmd_class_check(args, sched) -> _CommandResult:
     )
 
 
-def _cmd_pairing_check(args, sched) -> _CommandResult:
-    mode = args.mode
-    wp, wcanon = _weights(args, mode)
-    a, a_canon = _sequence(args.a, mode)
-    y, y_canon = _sequence(args.y, mode)
+def _cmd_pairing_check(args, sched, wp) -> _CommandResult:
+    a, a_canon = _sequence(args.a, args.mode)
+    y, y_canon = _sequence(args.y, args.mode)
     space = SpaceName(args.space)
     status, outputs = _identity_check(
-        pairing_identity_sides(a, y, wp, space), args.n, mode,
+        pairing_identity_sides(a, y, wp, space), args.n, args.mode,
         sched.stabilization_tol)
     return _CommandResult(
-        inputs={"space": args.space, "a": a_canon, "y": y_canon,
-                "n": args.n, **wcanon},
+        inputs={"space": args.space, "a": a_canon, "y": y_canon, "n": args.n},
         outputs=outputs,
         status=status,
         method={"operation": "pairing-check",
@@ -408,16 +395,14 @@ def _cmd_pairing_check(args, sched) -> _CommandResult:
     )
 
 
-def _cmd_reduction_check(args, sched) -> _CommandResult:
-    mode = args.mode
-    wp, wcanon = _weights(args, mode)
-    y, y_canon = _sequence(args.y, mode)
-    op, matrix_canon, warnings = _matrix(args.matrix, mode, full=args.full)
+def _cmd_reduction_check(args, sched, wp) -> _CommandResult:
+    y, y_canon = _sequence(args.y, args.mode)
+    op, matrix_canon, warnings = _matrix(args.matrix, args.mode, full=args.full)
     status, outputs = _identity_check(
-        reduction_roundtrip_sides(op, wp, y), args.n, mode,
+        reduction_roundtrip_sides(op, wp, y), args.n, args.mode,
         sched.stabilization_tol)
     return _CommandResult(
-        inputs={"matrix": matrix_canon, "y": y_canon, "n": args.n, **wcanon},
+        inputs={"matrix": matrix_canon, "y": y_canon, "n": args.n},
         outputs=outputs,
         status=status,
         method={"operation": "reduction-check",
@@ -441,78 +426,70 @@ _SCHEDULED_COMMANDS = {"dual-check", "class-check", "pairing-check", "reduction-
 
 
 # ---------------------------------------------------------------------------
-# Output writers
+# Pipeline
 # ---------------------------------------------------------------------------
 
 
-def _write_trace_csv(path: str, traces: dict) -> None:
-    for key, trace in traces.items():
-        if key == "":
-            target = path
-        else:
-            root, ext = os.path.splitext(path)
-            target = f"{root}-{key}{ext or '.csv'}"
-        with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)
-            writer.writerow(["N", "statistic"])
-            for size, value in trace:
-                writer.writerow([size, scalar_to_json(value)])
-
-
-def _write_matrix_csv(path: str, op, size: int) -> None:
+def _write_csv(path: str, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)
-        for n in range(1, size + 1):
-            writer.writerow([scalar_to_json(v) for v in op.row(n, size)])
+        csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC).writerows(rows)
 
 
 def run(argv=None, out=None) -> int:
-    """Parse arguments, run one subcommand, print its JSON report; the
-    return value is the process exit code."""
+    """Parse arguments, run one subcommand, write its files and print its
+    JSON report; the return value is the process exit code.
+
+    Counts, schedule and weights are parsed here, in that order, before the
+    command parses its own specs.  Any input error, including a file that
+    cannot be written, prints one ``sumkit:`` line and no report.
+    """
     stream = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 1 if code not in (0,) else 0
+        return 0 if exc.code == 0 else 1
 
     try:
         _check_counts(args)
         sched = _resolve_schedule(args)
-        result = _DISPATCH[args.command](args, sched)
+        wp, wcanon = _weights(args, args.mode)
+        result = _DISPATCH[args.command](args, sched, wp)
+        exit_code = _EXIT_CODES.get(result.status, 1)
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "tool": TOOL,
+            "command": args.command,
+            "mode": args.mode,
+            "inputs": {**result.inputs, **wcanon},
+            "outputs": result.outputs,
+            "method": result.method,
+            "warnings": result.warnings,
+            "status": result.status,
+            "exit_code": exit_code,
+        }
+        if args.command in _SCHEDULED_COMMANDS:
+            doc["schedule"] = sched.to_dict()
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        if getattr(args, "csv", None):
+            root, ext = os.path.splitext(args.csv)
+            for key, trace in result.traces.items():
+                _write_csv(f"{root}-{key}{ext or '.csv'}" if key else args.csv,
+                           [("N", "statistic")]
+                           + [(size, scalar_to_json(v)) for size, v in trace])
+        matrix = result.matrix_for_csv
+        if getattr(args, "matrix_csv", None) and matrix is not None:
+            size = sched.sizes[0]
+            _write_csv(args.matrix_csv, ([scalar_to_json(v) for v in matrix.row(n, size)]
+                                         for n in range(1, size + 1)))
     except (SumkitError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"sumkit: {exc}", file=sys.stderr)
         return 1
 
-    exit_code = _EXIT_CODES.get(result.status, 1)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": TOOL,
-        "command": args.command,
-        "mode": args.mode,
-        "inputs": result.inputs,
-        "outputs": result.outputs,
-        "method": result.method,
-        "warnings": result.warnings,
-        "status": result.status,
-        "exit_code": exit_code,
-    }
-    if args.command in _SCHEDULED_COMMANDS:
-        doc["schedule"] = sched.to_dict()
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     stream.write(text)
-
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    csv_path = getattr(args, "csv", None)
-    if csv_path and result.traces:
-        _write_trace_csv(csv_path, result.traces)
-    matrix_csv = getattr(args, "matrix_csv", None)
-    if matrix_csv and result.matrix_for_csv is not None:
-        _write_matrix_csv(matrix_csv, result.matrix_for_csv, sched.sizes[0])
     return exit_code
 
 

@@ -509,13 +509,11 @@ def column_scan(A, sched: TruncationSchedule, *,
     zero = A.zero()
     sums = [zero] * (n_max + 1)
     peak = sums if absolute else [zero] * (n_max + 1)
-    support = A.row_support
     sizes = set(sched.sizes)
     trace: list[tuple[int, Scalar]] = []
     col = 1
     for n in range(1, n_max + 1):
-        upto = n_max if support is None else min(support(n), n_max)
-        for k, v in enumerate(A.row(n, upto), 1):
+        for k, v in enumerate(A.row(n, min(A.extent(n, n_max), n_max)), 1):
             if v == 0:
                 continue
             if absolute:

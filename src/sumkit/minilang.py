@@ -25,6 +25,10 @@ from .operators import (MATRIX_FAMILIES, TriangleKind, TriangleOperator,
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()+\-*/^]))")
+# the most tokens an expression may have: it bounds the parser's recursion
+# and the nesting of the compiled closures, so whether an expression is
+# accepted does not depend on how deep the caller's stack already is
+_MAX_TOKENS = 200
 
 
 class _ExprParser:
@@ -52,6 +56,9 @@ class _ExprParser:
             else:
                 tokens.append(("op", m.group("op")))
             i = m.end()
+        if len(tokens) > _MAX_TOKENS:
+            raise SpecParseError(f"expression {text!r} has {len(tokens)} tokens; "
+                                 f"at most {_MAX_TOKENS} are allowed")
         tokens.append(("end", ""))
         return tokens
 

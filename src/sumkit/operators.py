@@ -217,6 +217,17 @@ class TriangleOperator:
         missing = upto - start + 1 - len(cells)
         return cells + [self.zero()] * missing if missing > 0 else cells
 
+    def extent(self, n: int, bound: Optional[int] = None) -> int:
+        """The last column row ``n`` is read to: its declared support, else
+        ``bound``; with neither, UnsupportedRowError."""
+        if self.row_support is not None:
+            return self.row_support(n)
+        if bound is None:
+            raise UnsupportedRowError(
+                f"row {n} of {self.label or 'matrix'} has no finite support; "
+                "pass an explicit row bound")
+        return bound
+
     def row_sequence(self, n: int) -> LazySequence:
         """Row ``n`` viewed as a lazy sequence over the column index."""
         support = self.row_support(n) if self.row_support is not None else None
@@ -371,16 +382,8 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
         return LazySequence(rule, exact=exact, label=f"{T.label}*{x.label}")
 
     def rule(n: int) -> Scalar:
-        if T.row_support is not None:
-            limit = T.row_support(n)
-        elif row_bound is not None:
-            limit = row_bound
-        else:
-            raise UnsupportedRowError(
-                f"row {n} of {T.label or 'matrix'} has no finite support; "
-                "pass an explicit row bound")
         total = Fraction(0) if exact else 0.0
-        for k in range(1, limit + 1):
+        for k in range(1, T.extent(n, row_bound) + 1):
             total += T.entry(n, k) * x.at(k)
         return total
 
@@ -704,15 +707,6 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
         cap = max((rsup(j) for j in range(1, left_row_bound + 1)), default=0)
         row_support = lambda n: cap
 
-    def bound(n: int) -> int:
-        if L.row_support is not None:
-            return L.row_support(n)
-        if left_row_bound is not None:
-            return left_row_bound
-        raise UnsupportedRowError(
-            f"row {n} of {L.label or 'left factor'} has no finite support; "
-            "pass an explicit row bound")
-
     if right_strict:
         # row j of R, and its nonzero (k-1, R(j,k)) pairs when at most half
         # of the row is nonzero
@@ -730,7 +724,7 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
             # first p left entries are equal: term j touches acc[:j] only, and
             # equal L(n,j) over the same R rows add the same values in the same
             # order, so every entry keeps its bits
-            J = bound(n)
+            J = L.extent(n, left_row_bound)
             lrow = L.row(n, J)
             kept_n, kept_row, kept_acc = kept
             p = len(kept_row) - 1
@@ -763,7 +757,7 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
 
     def rule(n: int, k: int) -> Scalar:
         total = zero
-        for j in range(1, bound(n) + 1):
+        for j in range(1, L.extent(n, left_row_bound) + 1):
             lv = L.entry(n, j)
             if lv == 0:
                 continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag,
-                   TruncationSchedule, partial_sum, space_evidence)
+                   TruncationSchedule, space_evidence)
 from .errors import UnsupportedSpaceError
 from .operators import (TriangleOperator, WeightPair, apply_triangle,
                         differentiated_inverse, differentiated_triangle,

@@ -474,6 +474,13 @@ class TestErrorsAndVersion:
         (("pairing-check", "--mode", "float", "--space", "int-bv", "--a", "power:-2",
           "--y", "ones", "--n", "1100", "--u", "ones", "--w", "geometric:1/2"),
          "weight w[1075] is zero"),
+        # expressions past the token cap, which would nest past the stack
+        (("class-check", "--source", "int-bv", "--target", "c",
+          "--matrix", "expr:" + "(" * 400 + "n" + ")" * 400), "has 801 tokens"),
+        (("norm", "--space", "int-bv", "--x", "ones", "--u", "expr:" + "-" * 985 + "n"),
+         "has 986 tokens"),
+        (("transform", "--space", "int-bv", "--x", "expr:" + "+".join(["n"] * 1501)),
+         "has 3001 tokens"),
     ])
     def test_bad_input_gives_one_error_line(self, capsys, argv, message):
         code, text = run_cli(*argv)
@@ -483,6 +490,32 @@ class TestErrorsAndVersion:
         assert err.startswith("sumkit: ")
         assert err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("body", ["(" * 66 + "n" + ")" * 66,
+                                      "(-" * 49 + "n" + ")" * 49,
+                                      "+".join(["n"] * 100)],
+                             ids=["parentheses", "negations", "sum"])
+    def test_expressions_under_the_token_cap_evaluate(self, body):
+        code, doc = run_json("class-check", "--source", "int-bv", "--target", "c",
+                             "--matrix", "expr:" + body, "--schedule", "8,16,32,64")
+        assert code == doc["exit_code"] != 1
+
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--matrix", "cesaro", "--x", "ones", "--out"),
+        ("dual-check", "--space", "int-bv", "--kind", "alpha", "--a", "ones", "--csv"),
+        ("class-check", "--source", "l1", "--target", "l1", "--matrix", "cesaro",
+         "--matrix-csv"),
+    ], ids=["out", "csv", "matrix-csv"])
+    def test_unwritable_path_gives_one_error_line_and_no_report(self, capsys, tmp_path,
+                                                                 argv):
+        path = tmp_path / "missing" / "file"
+        code, text = run_cli(*argv, str(path))
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("sumkit: ")
+        assert err.count("\n") == 1
+        assert str(path) in err
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("argv, line", [

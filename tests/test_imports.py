@@ -1,5 +1,6 @@
 """The runtime is standard-library only: every module ``src/sumkit`` imports
-is in the standard library or is ``sumkit`` itself."""
+is in the standard library or is ``sumkit`` itself.  Static guards on the
+sources: no builtin ``sum``, no entry-by-entry walks, no unused imports."""
 
 import ast
 import sys
@@ -91,3 +92,38 @@ def test_an_entry_walk_is_caught():
                      "x = A.entry(1, 1)\ny = entry(1, 1)\n")
     assert entry_calls(tree) == [("reduction_roundtrip_sides", 3), ("scan", 5),
                                  ("<module>", 6)]
+
+
+# names a module imports and never uses, kept because something outside the
+# package looks them up there: perfbench/tracing.py binds these two in cli
+UNUSED_IMPORTS_ALLOWED = {("cli.py", "pairing_identity_check"),
+                          ("cli.py", "verify_reduction_roundtrip")}
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a top-level import of ``tree`` binds that no name in it reads
+    (``__future__`` imports aside)."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.extend(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = [name for name in unused_imports(tree)
+              if (path.name, name) not in UNUSED_IMPORTS_ALLOWED]
+    assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_an_unused_import_is_caught():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "import json as js\nfrom math import inf, nan\n"
+                     "def f():\n    from re import compile\n    return os, nan\n")
+    assert unused_imports(tree) == ["js", "inf"]

@@ -48,6 +48,11 @@ class TestExpressions:
         with pytest.raises(SpecParseError):
             ev(src, n=1)
 
+    def test_two_hundred_tokens_are_the_most_allowed(self):
+        assert ev("-" * 199 + "n", n=2) == -2
+        with pytest.raises(SpecParseError, match="has 201 tokens; at most 200"):
+            ev("-" * 200 + "n", n=2)
+
 
 class TestSequenceSpecs:
     def test_presets(self):

@@ -222,6 +222,22 @@ class TestApply:
         assert bounded.at(1) == Fraction(1, 2)
         assert bounded.at(2) == 0
 
+    def test_extent_is_the_declared_support(self):
+        # a declared support wins over a bound
+        assert cesaro_matrix().extent(7) == cesaro_matrix().extent(7, 3) == 7
+
+    def test_extent_falls_back_to_the_bound(self):
+        assert taylor_matrix(Fraction(1, 2)).extent(7, 40) == 40
+
+    def test_extent_without_support_or_bound_names_the_row(self):
+        with pytest.raises(UnsupportedRowError) as info:
+            taylor_matrix(Fraction(1, 2)).extent(7)
+        assert str(info.value) == ("row 7 of taylor:1/2 has no finite support; "
+                                   "pass an explicit row bound")
+        unlabeled = TriangleOperator(lambda n, k: Fraction(1), kind=TriangleKind.ROW_EVALUABLE)
+        with pytest.raises(UnsupportedRowError, match="^row 3 of matrix has"):
+            unlabeled.extent(3)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=25),
            st.lists(st.integers(-20, 20), min_size=1, max_size=25),

@@ -551,15 +551,22 @@ def test_column_windows_read_each_row_once(monkeypatch, cid, reads_wanted):
 
 
 def test_row_tails_read_rows_and_no_entry(monkeypatch):
-    # C21 reads rows 1..s/2 from column s/2 + 1 on, one row read each
+    # C21 reads rows 1..s/2 from column s/2 + 1 on, one row read each, and
+    # skips a row whose support ends by column s/2: a strict triangle has
+    # only zeros there, so no row of it is read
+    assert _cesaro_reads(monkeypatch, "C21") == []
+    full = parse_matrix_spec("expr:1/(n+k)", full=True).operator.as_float()
+    reads = _reads(monkeypatch, "C21", full)
     sizes = TruncationSchedule().sizes
-    assert _cesaro_reads(monkeypatch, "C21") == [("row", n) for s in sizes
-                                                 for n in range(1, s // 2 + 1)]
+    assert [read for read in reads if read[0] == "row"] == [
+        ("row", n) for s in sizes for n in range(1, s // 2 + 1)]
+    # a rule-based row reads its cells s/2 + 1..s entry by entry
+    assert len(reads) == sum(s // 2 * (1 + s - s // 2) for s in sizes)
 
 
-def _cesaro_reads(monkeypatch, cid):
-    """The ``entry`` and ``row`` reads of condition ``cid`` on float Cesàro
-    at the default schedule, as (method, row index) pairs."""
+def _reads(monkeypatch, cid, A):
+    """The ``entry`` and ``row`` reads of condition ``cid`` on ``A`` at the
+    default schedule, as (method, row index) pairs."""
     reads = []
     entry, row = TriangleOperator.entry, TriangleOperator.row
     monkeypatch.setattr(TriangleOperator, "entry",
@@ -567,8 +574,12 @@ def _cesaro_reads(monkeypatch, cid):
     monkeypatch.setattr(TriangleOperator, "row",
                         lambda self, n, upto, start=1:
                         reads.append(("row", n)) or row(self, n, upto, start))
-    check_condition(cid, classical_matrix("cesaro").as_float(), TruncationSchedule())
+    check_condition(cid, A, TruncationSchedule())
     return reads
+
+
+def _cesaro_reads(monkeypatch, cid):
+    return _reads(monkeypatch, cid, classical_matrix("cesaro").as_float())
 
 
 def test_conditions_follow_a_sweep_that_reads_their_cells_first():
