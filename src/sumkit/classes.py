@@ -452,6 +452,11 @@ _TABLES = {
               _INTO_L1_RECIPES),
 }
 
+# the table out of each domain space; a class out of one also needs the rows
+# of its matrix in the beta dual, and a composite target takes that table
+_DOMAIN_SOURCE_TABLES = {entry.endpoint: number for number, entry in _TABLES.items()
+                         if entry.side == "out of" and entry.transform is not TransformTag.NONE}
+
 
 @dataclass(frozen=True)
 class Recipe:
@@ -562,23 +567,25 @@ def _beta_prerequisite(A: TriangleOperator, wp: WeightPair, space: SpaceName,
                        sched: TruncationSchedule, row_limit: int) -> ConditionVerdict:
     """Aggregate beta-dual membership of the first rows of ``A``.
 
-    A row's statistic only settles past the row's support (rows of upper
-    matrices carry their mass well beyond the row index), so the schedule
-    is extended by doublings until its last two sizes clear that bound —
-    otherwise the accumulation phase reads as spurious growth.  The beta
-    statistic builds no kernel row past a finite support, so extending the
-    schedule past it costs only the walk of the statistic's weight state.
+    Row n is read once, to its declared support J (``A`` is row-finite, or
+    its source reduction would have been refused).  A row's statistic only
+    settles past J (rows of upper matrices carry their mass well beyond the
+    row index), so the schedule is extended by doublings until its last two
+    sizes clear J — otherwise the accumulation phase reads as spurious
+    growth.  The beta statistic builds no kernel row past a finite support,
+    so extending the schedule past it costs only the walk of the
+    statistic's weight state.
     """
     rows = min(row_limit, sched.max_size)
     statuses = {}
     worst: Optional[ConditionVerdict] = None  # the first row of the worst status
     worst_row = 1
     for n in range(1, rows + 1):
-        seq = A.row_sequence(n)
-        settle = seq.support if seq.support is not None else 4 * n
+        J = A.extent(n)
         row_sched = sched
-        while row_sched.sizes[-2] < settle:
+        while row_sched.sizes[-2] < J:
             row_sched = row_sched.doubled()
+        seq = LazySequence.from_terms(A.row(n, J), exact=A.exact)
         verdict = beta_dual_check(space, seq, wp, row_sched)
         statuses[n] = verdict.status
         if worst is None or _VERDICT_RANK[verdict.status] < _VERDICT_RANK[worst.status]:
@@ -605,11 +612,15 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
 
     Sources/targets may be classical tags ('l1', 'linf', 'c', 'c0', 'bs',
     'cs', 'c0s'), the domain spaces ('int-bv', 'd-bv'), or a
-    CompositeTarget; domain endpoints need ``wp``.  Composite targets
-    compose their generator with ``A`` first (Taylor generators need
-    ``row_bound``, which no other target accepts) and then run the
-    bounded-target recipe out of the domain source.  ``table`` forces a specific recipe table instead of
-    inferring one from the endpoints.
+    CompositeTarget; domain endpoints need ``wp``.  ``table`` forces a
+    specific recipe table instead of inferring one from the endpoints.
+
+    A composite target composes its generator G with ``A`` (Taylor
+    generators need ``row_bound``, which no other target accepts) and
+    asks whether G A maps the domain source into linf, under the table out
+    of that source.  Every class then runs one sequence: the recipe, the
+    reduction, the battery and, out of a domain space, the beta
+    prerequisite on the rows of the (composed) matrix.
     """
     if sched is None:
         sched = TruncationSchedule()
@@ -621,49 +632,40 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
     notes: list[str] = []
 
     if isinstance(target, CompositeTarget):
-        # a bounded target out of a domain space: table 3 or 4
-        if src not in ("int-bv", "d-bv"):
-            raise UnsupportedClassError(src, target.describe(),
+        tgt_name = target.describe()
+        chosen = _DOMAIN_SOURCE_TABLES.get(src)
+        if chosen is None:
+            raise UnsupportedClassError(src, tgt_name,
                                         "composite targets need a domain-space source")
-        chosen = 3 if src == "int-bv" else 4
         if table is not None and table != chosen:
-            raise UnsupportedClassError(src, target.describe(),
-                                        "composite targets fix their own table")
+            raise UnsupportedClassError(src, tgt_name, "composite targets fix their own table")
         if wp is None:
-            raise UnsupportedClassError(src, target.describe(), "weights required")
+            raise UnsupportedClassError(src, tgt_name, "weights required")
         G = target.generator()
         if G.kind is TriangleKind.ROW_EVALUABLE and row_bound is None:
             raise UnsupportedRowError(
-                "this composite generator has infinite rows; pass row_bound")
-        composed = matrix_product(G, A, left_row_bound=row_bound,
-                                  label=f"{G.label}*{A.label}")
-        recipe = table_recipe(chosen, src, SpaceTag.LINF)
-        matrix_for_conditions = _TABLES[chosen].reduce(composed, wp)
-        prereq_matrix = composed
-        tgt_name = target.describe()
+                "this composite generator has infinite rows; pass an explicit row bound")
+        A = matrix_product(G, A, left_row_bound=row_bound, label=f"{G.label}*{A.label}")
+        free = SpaceTag.LINF
         notes.append("composite target: generator composed on the target side, "
                      "then the bounded-target recipe applied")
         if G.kind is TriangleKind.ROW_EVALUABLE:
             notes.append(f"generator rows truncated at {row_bound}")
     else:
-        tgt_name = _endpoint_name(target)
+        tgt_name = free = _endpoint_name(target)
         chosen = table if table is not None else _pick_table(src, tgt_name)
-        recipe = table_recipe(chosen, src, tgt_name)
-        if recipe.transform is not TransformTag.NONE and wp is None:
-            raise UnsupportedClassError(src, tgt_name, "weights required")
-        matrix_for_conditions = _TABLES[chosen].reduce(A, wp)
-        prereq_matrix = A
 
-    results = []
-    for cid, zl in recipe.conditions:
-        results.append((cid, zl, check_condition(cid, matrix_for_conditions, sched,
-                                                 zero_limit=zl)))
+    recipe = table_recipe(chosen, src, free)
+    if recipe.transform is not TransformTag.NONE and wp is None:
+        raise UnsupportedClassError(src, tgt_name, "weights required")
+    matrix_for_conditions = _TABLES[chosen].reduce(A, wp)
+    results = [(cid, zl, check_condition(cid, matrix_for_conditions, sched, zero_limit=zl))
+               for cid, zl in recipe.conditions]
 
     prerequisite = None
     statuses = [v.status for _, _, v in results]
-    if src in ("int-bv", "d-bv"):
-        space = SpaceName(src)
-        prerequisite = _beta_prerequisite(prereq_matrix, wp, space, sched, beta_row_limit)
+    if src in _DOMAIN_SOURCE_TABLES:
+        prerequisite = _beta_prerequisite(A, wp, SpaceName(src), sched, beta_row_limit)
         statuses.append(prerequisite.status)
         notes.append("rows of the source-side matrix must lie in the beta dual; "
                      "checked row-by-row and aggregated")

@@ -74,6 +74,15 @@ def _to_float(value: Scalar) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def checked_float(value: Scalar, what: str, index, label: str) -> float:
+    """``float(value)``, the ``what`` at ``index`` of ``label``: a value too
+    large for a float raises ValueError naming that index."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} {index} of {label} is too large for a float") from None
+
+
 class LazySequence:
     """A total, pure rule ``index -> scalar`` with transparent memoization.
 
@@ -155,15 +164,9 @@ class LazySequence:
     def as_float(self) -> "LazySequence":
         if not self.exact:
             return self
-        def term(k: int) -> float:
-            v = self.at(k)
-            try:
-                return float(v)
-            except OverflowError:
-                raise ValueError(f"term {k} of {self.label or 'a sequence'} "
-                                 "is too large for a float") from None
-
-        return LazySequence(term, support=self.support, exact=False, label=self.label)
+        label = self.label or "a sequence"
+        return LazySequence(lambda k: checked_float(self.at(k), "term", k, label),
+                            support=self.support, exact=False, label=self.label)
 
 
 def ones(*, exact: bool = True) -> LazySequence:

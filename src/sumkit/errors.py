@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class SumkitError(Exception):
     """Base class for all package-specific errors."""
@@ -17,11 +19,14 @@ class InvalidWeightError(SumkitError):
 
 
 class SingularTriangleError(SumkitError):
-    """Back-substitution hit a zero diagonal entry."""
+    """Back-substitution hit a zero diagonal entry at ``row``, or (``row``
+    None) was asked of ``matrix``, which is not a strict triangle."""
 
-    def __init__(self, row: int, detail: str = "zero diagonal entry"):
+    def __init__(self, row: Optional[int], matrix: str = "triangle"):
         self.row = row
-        super().__init__(f"cannot invert triangle: {detail} at row {row}")
+        detail = ("inversion needs a strict triangle" if row is None
+                  else f"zero diagonal entry at row {row}")
+        super().__init__(f"cannot invert {matrix}: {detail}")
 
 
 class UnsupportedRowError(SumkitError):

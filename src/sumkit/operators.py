@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .core import LazySequence, Scalar, as_fraction, ones, running_sums
+from .core import LazySequence, Scalar, as_fraction, checked_float, ones, running_sums
 from .errors import InvalidWeightError, SingularTriangleError, UnsupportedRowError
 
 # the scalar an integer-ratio row builder makes of p/q: Fraction(p, q) in
@@ -228,12 +228,6 @@ class TriangleOperator:
                 "pass an explicit row bound")
         return bound
 
-    def row_sequence(self, n: int) -> LazySequence:
-        """Row ``n`` viewed as a lazy sequence over the column index."""
-        support = self.row_support(n) if self.row_support is not None else None
-        return LazySequence(lambda k: self.entry(n, k), support=support,
-                            exact=self.exact, label=f"{self.label}[row {n}]")
-
     def as_float(self) -> "TriangleOperator":
         """The float operator of the same shape, holding only float values.
 
@@ -241,7 +235,8 @@ class TriangleOperator:
         never built exactly; any other row builder (products, weight
         triangles, kernels, a caller's builder) has its exact rows rounded
         entry by entry; a rule-based operator becomes a float memo over the
-        bare exact rule.  No exact row or entry is kept.
+        bare exact rule.  No exact row or entry is kept.  A rounded entry too
+        large for a float raises ValueError naming (n, k).
         """
         if not self.exact:
             return self
@@ -249,22 +244,19 @@ class TriangleOperator:
         if self._ratio_row is not None:
             return TriangleOperator(ratio_row=self._ratio_row, kind=self.kind,
                                     row_support=self.row_support, exact=False, label=label)
+        name = label or "a matrix"
         if build is not None:
-            return TriangleOperator(build_row=lambda n: [float(v) for v in build(n)],
-                                    kind=self.kind, row_support=self.row_support,
-                                    exact=False, label=label)
+            def build_row(n: int) -> list[float]:
+                return [checked_float(v, "entry", (n, k), name)
+                        for k, v in enumerate(build(n), 1)]
+
+            return TriangleOperator(build_row=build_row, kind=self.kind,
+                                    row_support=self.row_support, exact=False, label=label)
         # only spec rules (expr:, csv:) and infinite rows (taylor:) are
         # rule-based; they stay entry by entry, as the order entries are read
         # in decides the first error an ill-defined rule raises
-        def entry(n: int, k: int) -> float:
-            v = rule(n, k)
-            try:
-                return float(v)
-            except OverflowError:
-                raise ValueError(f"entry ({n}, {k}) of {label or 'a matrix'} "
-                                 "is too large for a float") from None
-
-        return TriangleOperator(entry, kind=self.kind, row_support=self.row_support,
+        return TriangleOperator(lambda n, k: checked_float(rule(n, k), "entry", (n, k), name),
+                                kind=self.kind, row_support=self.row_support,
                                 exact=False, label=label)
 
 
@@ -305,10 +297,11 @@ def _bv_triangle(wp: WeightPair, integrated: bool) -> TriangleOperator:
         row.append(factor(n) * wp.u_at(n) * wp.w_at(n))
         return row
 
-    def apply_special(T: TriangleOperator, x: LazySequence, row_bound):
+    def apply_special(x: LazySequence):
         # (T x)_n = u_n (S(n-1) + f(n) w_n x_n), S(m) the sum over j <= m of
         # f(j) (w_j - w_{j+1}) x_j; term n reads u_n, the new S terms, w_n, x_n
-        S = running_sums(lambda j: factor(j) * wp.w_forward_diff(j) * x.at(j), T.zero())
+        zero = Fraction(0) if wp.exact else 0.0
+        S = running_sums(lambda j: factor(j) * wp.w_forward_diff(j) * x.at(j), zero)
         return lambda n: wp.u_at(n) * (S(n - 1) + factor(n) * wp.w_at(n) * x.at(n))
 
     return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
@@ -378,7 +371,7 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
     exact = T.exact and x.exact
 
     if T.apply_special is not None:
-        rule = T.apply_special(T, x, row_bound)
+        rule = T.apply_special(x)
         return LazySequence(rule, exact=exact, label=f"{T.label}*{x.label}")
 
     def rule(n: int) -> Scalar:
@@ -396,7 +389,7 @@ def invert_triangle(T: TriangleOperator, y: LazySequence) -> LazySequence:
     This is the defining oracle used to cross-check every closed form.
     """
     if T.kind is not TriangleKind.STRICT_TRIANGLE:
-        raise SingularTriangleError(0, "inversion needs a strict triangle")
+        raise SingularTriangleError(None, T.label or "matrix")
     exact = T.exact and y.exact
     memo: dict[int, Scalar] = {}
 

@@ -31,3 +31,10 @@ def random_weight_pair(rng: random.Random) -> WeightPair:
 def random_sequence(rng: random.Random, n: int) -> LazySequence:
     terms = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
     return LazySequence.from_terms(terms)
+
+
+def entrywise_row(A, n: int) -> LazySequence:
+    """Row ``n`` of a row-finite matrix as an oracle reads it: term k is
+    ``A.entry(n, k)``, evaluated when first asked for."""
+    return LazySequence(lambda k: A.entry(n, k), support=A.extent(n), exact=A.exact,
+                        label=f"{A.label}[row {n}]")

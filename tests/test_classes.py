@@ -39,7 +39,7 @@ from sumkit.operators import (
     taylor_matrix,
     uw_divisor,
 )
-from conftest import random_sequence, random_weight_pair
+from conftest import entrywise_row, random_sequence, random_weight_pair
 
 SCHED = TruncationSchedule()
 SMALL = TruncationSchedule(sizes=(8, 16, 32, 64))
@@ -139,7 +139,7 @@ class TestSourceReduction:
         B = reduce_source_int_bv(A, wp)
         D = reduce_source_d_bv(A, wp)
         for n in (1, 2, 5, 12):
-            row = A.row_sequence(n)
+            row = entrywise_row(A, n)
             K_int = dual_kernel_matrix(DualMatrixKind.BETA_INT_BV, row, wp)
             K_d = dual_kernel_matrix(DualMatrixKind.BETA_D_BV, row, wp)
             for k in range(1, n + 1):

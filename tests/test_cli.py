@@ -451,7 +451,10 @@ class TestErrorsAndVersion:
          "composite targets need a domain-space source"),
         (("class-check", "--source", "int-bv", "--target", "taylor:1/2",
           "--matrix", "identity"),
-         "this composite generator has infinite rows; pass row_bound"),
+         "this composite generator has infinite rows; pass an explicit row bound"),
+        # back-substitution names the matrix it cannot invert
+        (("inverse", "--matrix", "taylor:1/2", "--y", "ones"),
+         "cannot invert taylor:1/2: inversion needs a strict triangle"),
         (("class-check", "--source", "l1", "--target", "foo", "--matrix", "cesaro"),
          "unknown target space 'foo'"),
         # a float product u_k w_k that underflows names k

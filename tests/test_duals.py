@@ -37,7 +37,7 @@ from sumkit.operators import (
     differentiated_inverse,
     integrated_inverse,
 )
-from conftest import random_sequence, random_weight_pair
+from conftest import entrywise_row, random_sequence, random_weight_pair
 
 SCHED = TruncationSchedule()
 # plenty for status-shape tests, and much cheaper on exact rationals
@@ -258,7 +258,7 @@ _ORACLE_SEQUENCES = {
     "harmonic": lambda: harmonic(),
     "finite 3,-1,1/2": lambda: LazySequence.from_terms([3, -1, Fraction(1, 2)]),
     "e5": lambda: LazySequence.unit(5),
-    "cesaro row 7": lambda: cesaro_matrix().row_sequence(7),
+    "cesaro row 7": lambda: entrywise_row(cesaro_matrix(), 7),
 }
 
 
@@ -325,8 +325,8 @@ def _finite_sequences(rng):
     seqs.update({f"e{k}": LazySequence.unit(k) for k in (1, 3, rng.randint(4, 40))})
     cesaro, euler = cesaro_matrix(), classical_matrix("euler", Fraction(1, 3))
     for n in (1, 6, rng.randint(7, 30)):
-        seqs[f"cesaro row {n}"] = cesaro.row_sequence(n)
-        seqs[f"euler:1/3 row {n}"] = euler.row_sequence(n)
+        seqs[f"cesaro row {n}"] = entrywise_row(cesaro, n)
+        seqs[f"euler:1/3 row {n}"] = entrywise_row(euler, n)
     return seqs
 
 
@@ -365,7 +365,7 @@ class TestSupportAwareBetaStatistic:
         sched = TruncationSchedule(sizes=(16, 64, 256, 520))
         for a in (LazySequence.from_terms([3, -1, Fraction(1, 2)], exact=False),
                   LazySequence.unit(7, exact=False),
-                  cesaro_matrix().as_float().row_sequence(9)):
+                  entrywise_row(cesaro_matrix().as_float(), 9)):
             kernel = dual_kernel_matrix(DualMatrixKind(f"beta-{space}"), a, wp)
             assert math.isnan(sum(map(abs, kernel.row(520, 520))))
             _assert_statistics_agree(space, a, wp, sched, a.label)

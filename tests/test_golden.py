@@ -29,7 +29,11 @@ before (``euler:1/2`` on the default schedule and ``cesaro`` on
 C15 and C16 and the float Riesz rows: exact l1 into cs on ``cesaro`` and
 float int-bv into c0 on ``euler:1/3``, both on the overlapping schedule
 4,6,8,12,16, float l1 into c0s on ``riesz:harmonic`` at 128..1024, and
-float l1 into c on ``riesz:1,3,2`` at 3,5,7,9.
+float l1 into c on ``riesz:1,3,2`` at 3,5,7,9; and three paths of the
+beta prerequisite: d-bv into cs on ``euler:1/3`` at 4,8,16, whose rows
+past 8 double their schedule, an exact composite (``euler:1/2`` from
+int-bv into the ``cesaro`` domain at 8,16,32), and a float d-bv composite
+under a non-constant u (``cesaro`` into the ``riesz:harmonic`` domain).
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

@@ -48,6 +48,7 @@ from test_acceptance import SEED, exact_sequence, weight_pair
 
 WP_ONES = WeightPair.all_ones()
 WP_HARM = WeightPair(ones(), harmonic())
+_HUGE = Fraction(10) ** 400  # too large for a float
 
 # row-built and rule-based, strict and row-evaluable (a bounded product has
 # a declared support, the rule-based ones infinite rows)
@@ -181,13 +182,6 @@ class TestTriangleEntries:
         T.row(3, 3)[0] = 99
         assert T.row(3, 3) == [Fraction(1, 3)] * 3
 
-    def test_row_sequence_support(self):
-        G = integrated_triangle(WP_ONES)
-        row = G.row_sequence(4)
-        assert row.support == 4
-        assert row.prefix(6) == [0, 0, 0, 4, 0, 0]
-        assert taylor_matrix(Fraction(1, 2)).row_support is None
-
 
 class TestApply:
     def test_integrated_ones_scales_by_n(self):
@@ -298,8 +292,10 @@ class TestInverses:
         assert apply_triangle(D, differentiated_inverse(wp, y)).prefix(48) == y.prefix(48)
 
     def test_inverting_non_triangle_fails(self):
-        with pytest.raises(SingularTriangleError):
+        with pytest.raises(SingularTriangleError) as exc:
             invert_triangle(taylor_matrix(Fraction(1, 2)), ones())
+        assert exc.value.row is None
+        assert str(exc.value) == "cannot invert taylor:1/2: inversion needs a strict triangle"
 
     def test_zero_diagonal_is_reported(self):
         T = TriangleOperator(
@@ -687,6 +683,25 @@ class TestRowBuiltClassicalMatrices:
                     want = float(M._rule(n, k))
                 assert F.entry(n, k) == want, (n, k)
         assert M._memo == {}
+
+    @pytest.mark.parametrize("make, cell, message", [
+        # a row builder rounds each exact row it builds: u_1 w_1 overflows
+        (lambda: weighted_mean_triangle(WeightPair(LazySequence(lambda k: _HUGE), ones())),
+         (1, 1), "entry (1, 1) of weighted-mean is too large for a float"),
+        (lambda: weighted_mean_triangle(
+            WeightPair(ones(), LazySequence(lambda k: _HUGE if k == 2 else Fraction(1)))),
+         (2, 2), "entry (2, 2) of weighted-mean is too large for a float"),
+        # an entry rule is rounded entry by entry
+        (lambda: TriangleOperator(lambda n, k: _HUGE if k == 2 else Fraction(1),
+                                  kind=TriangleKind.STRICT_TRIANGLE),
+         (2, 2), "entry (2, 2) of a matrix is too large for a float"),
+    ], ids=["row builder", "row builder, later cell", "entry rule"])
+    def test_float_wrapper_names_an_entry_too_large_for_a_float(self, make, cell, message):
+        # both branches round through one checked conversion, whose
+        # ValueError (not OverflowError) the CLI prints as one line
+        with pytest.raises(ValueError) as exc:
+            make().as_float().row(*cell)
+        assert str(exc.value) == message
 
 
 def _rounded(divide):
