@@ -144,6 +144,17 @@ class TriangleOperator:
 
     ``row(n, upto, start)`` is the one read of consecutive cells.
 
+    Two optional hooks give a faster route to the same exact values.
+    ``apply_special(x)`` receives the sequence of ``apply_triangle`` and
+    returns the rule ``n -> (A x)_n``; ``inverse_special(y)`` receives the
+    right-hand side of ``invert_triangle`` and returns the rule
+    ``n -> x_n`` of the solution of ``A x = y``.  A hook may return None,
+    and the generic path then runs.  The bv triangles apply by their
+    running sum in both modes; Riesz and Cesàro means apply and invert by
+    their recurrences, in exact mode only (an exact operator and an exact
+    sequence), so every float value keeps its entry-wise sum.  ``as_float``
+    drops both hooks.
+
     The rational classical matrices (Riesz, Cesàro, Euler, identity,
     difference) give a ratio row builder ``(n, ratio) -> row``: each entry
     is an integer ratio ``ratio(p, q)``, and the operator passes
@@ -154,13 +165,13 @@ class TriangleOperator:
     """
 
     __slots__ = ("_rule", "_build_row", "_ratio_row", "kind", "row_support", "exact",
-                 "label", "apply_special", "_memo", "_rows")
+                 "label", "apply_special", "inverse_special", "_memo", "_rows")
 
     def __init__(self, rule: Optional[Callable[[int, int], Scalar]] = None, *,
                  kind: TriangleKind,
                  row_support: Optional[Callable[[int], int]] = None,
                  exact: bool = True, label: str = "",
-                 apply_special=None,
+                 apply_special=None, inverse_special=None,
                  build_row: Optional[Callable[[int], list]] = None,
                  ratio_row: Optional[Callable[[int, Ratio], list]] = None):
         if (rule, build_row, ratio_row).count(None) != 2:
@@ -179,6 +190,7 @@ class TriangleOperator:
         self.exact = exact
         self.label = label
         self.apply_special = apply_special
+        self.inverse_special = inverse_special
         self._memo: Optional[dict[tuple[int, int], Scalar]] = (
             {} if rule is not None else None)
         self._rows: Optional[dict[int, list]] = {} if build_row is not None else None
@@ -364,15 +376,17 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
                    row_bound: Optional[int] = None) -> LazySequence:
     """The matrix transform ``y = T x`` as a lazy sequence.
 
-    Strict triangles sum their finite rows; row-evaluable matrices use the
-    declared row support, falling back to ``row_bound`` when given, and
-    raise UnsupportedRowError otherwise.
+    The operator's ``apply_special`` hook gives the rule when it has one
+    for ``x`` (the bv triangles; exact Riesz and Cesàro means).  Otherwise
+    term n sums row n entry by entry in ascending k: strict triangles sum
+    their finite rows; row-evaluable matrices use the declared row
+    support, falling back to ``row_bound`` when given, and raise
+    UnsupportedRowError otherwise.
     """
     exact = T.exact and x.exact
-
-    if T.apply_special is not None:
-        rule = T.apply_special(x)
-        return LazySequence(rule, exact=exact, label=f"{T.label}*{x.label}")
+    special = T.apply_special(x) if T.apply_special is not None else None
+    if special is not None:
+        return LazySequence(special, exact=exact, label=f"{T.label}*{x.label}")
 
     def rule(n: int) -> Scalar:
         total = Fraction(0) if exact else 0.0
@@ -384,13 +398,19 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
 
 
 def invert_triangle(T: TriangleOperator, y: LazySequence) -> LazySequence:
-    """Back-substitution solve of ``T x = y`` for a strict triangle.
+    """The solve of ``T x = y`` for a strict triangle, as a lazy sequence.
 
-    This is the defining oracle used to cross-check every closed form.
+    The operator's ``inverse_special`` hook gives the rule when it has one
+    for ``y`` (exact Riesz and Cesàro means).  Otherwise term n is found by
+    back-substitution over rows 1..n in ascending order; that is the
+    defining oracle used to cross-check every closed form and every hook.
     """
     if T.kind is not TriangleKind.STRICT_TRIANGLE:
         raise SingularTriangleError(None, T.label or "matrix")
     exact = T.exact and y.exact
+    special = T.inverse_special(y) if T.inverse_special is not None else None
+    if special is not None:
+        return LazySequence(special, exact=exact, label=f"{T.label}^-1*{y.label}")
     memo: dict[int, Scalar] = {}
 
     def ensure(n: int) -> None:
@@ -540,8 +560,59 @@ def euler_matrix(r) -> TriangleOperator:
                             label=f"euler:{r}")
 
 
+def _weighted_mean(ratio_row: Callable[[int, Ratio], list], total: Callable[[int], Scalar],
+                   weight: Callable[[int], Scalar], label: str) -> TriangleOperator:
+    """The exact strict triangle with row n = (t_1, ..., t_n) / T_n, built
+    by ``ratio_row``, where t_k = ``weight(k)`` and T_n = ``total(n)``, the
+    call that checks t_1..t_n.  Its hooks, for an exact sequence only, are
+    the O(1)-per-term recurrences of the mean:
+
+    * apply: (A x)_n = S_n / T_n, with S_n = S_{n-1} + t_n x_n;
+    * inverse: x_n = (T_n y_n - T_{n-1} y_{n-1}) / t_n.
+
+    Both read what the generic paths read, in the same order: term n of
+    the transform reads T_n, then x_1..x_n; the inverse walks 1..n in
+    ascending order, each step reading T_i, then y_i, as back-substitution
+    does.  Exact values do not depend on the summation order, so the
+    results are equal.
+    """
+
+    def apply_special(x: LazySequence):
+        if not x.exact:
+            return None
+        S = running_sums(lambda j: weight(j) * x.at(j), Fraction(0))
+
+        def rule(n: int) -> Scalar:
+            tot = total(n)  # checks t_1..t_n before S reads any x
+            return S(n) / tot
+
+        return rule
+
+    def inverse_special(y: LazySequence):
+        if not y.exact:
+            return None
+        ty = [Fraction(0)]  # ty[i] = T_i y_i
+
+        def rule(n: int) -> Scalar:
+            while len(ty) <= n:
+                i = len(ty)
+                tot = total(i)  # checks t_i before y_i is read
+                ty.append(tot * y.at(i))
+            return (ty[n] - ty[n - 1]) / weight(n)
+
+        return rule
+
+    return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            label=label, apply_special=apply_special,
+                            inverse_special=inverse_special)
+
+
 def riesz_matrix(t: LazySequence) -> TriangleOperator:
     """Riesz (weighted-mean) matrix entry(n,k) = t_k / (t_1 + ... + t_n).
+
+    Over exact t_k it applies and inverts by the recurrences of
+    ``_weighted_mean``; a float operator (float weights, or ``as_float``)
+    has no hooks and sums entry by entry.
 
     Requires strictly positive t_k; checked lazily on access.  Row n takes
     the total T_n = A/B first, which checks t_1..t_n in order.  Over exact
@@ -575,14 +646,20 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
         num, den = tot.numerator, tot.denominator
         return [ratio(a * den, b * num) for a, b in zip(nums[:n], dens[:n])]
 
+    label = f"riesz:{t.label or 't'}"
+    if t.exact:
+        return _weighted_mean(ratio_row, total, t.at, label)
     return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            exact=t.exact, label=f"riesz:{t.label or 't'}")
+                            exact=False, label=label)
 
 
 def cesaro_matrix() -> TriangleOperator:
-    """The Riesz matrix of t = ones: row n is n copies of 1/n."""
-    return TriangleOperator(ratio_row=lambda n, ratio: [ratio(1, n)] * n,
-                            kind=TriangleKind.STRICT_TRIANGLE, label="cesaro")
+    """The Riesz matrix of t = ones: row n is n copies of 1/n, read from
+    no weight sequence.  Exact, it applies as S_n / n and inverts as
+    x_n = n y_n - (n-1) y_{n-1} (``_weighted_mean``); ``as_float`` sums
+    entry by entry."""
+    return _weighted_mean(lambda n, ratio: [ratio(1, n)] * n, lambda n: n, lambda n: 1,
+                          "cesaro")
 
 
 def taylor_matrix(r) -> TriangleOperator:

@@ -559,6 +559,25 @@ class TestErrorsAndVersion:
         (("class-check", "--source", "l1", "--target", "c",
           "--matrix", "riesz:expr:1/(n-4)"),
          "weight t[1] must be positive for a Riesz matrix"),
+        # row n of a weighted mean checks t_1..t_n before it reads x_n or y_n:
+        # x_2 fails before t_3 = 0 is reached, and t_2 = 0 before x_3
+        (("transform", "--matrix", "riesz:1,2,0", "--x", "expr:1/(n-2)", "--n", "6"),
+         "expression '1/(n-2)' divides by zero at n=2"),
+        (("inverse", "--matrix", "riesz:1,2,0", "--y", "expr:1/(n-2)", "--n", "6"),
+         "expression '1/(n-2)' divides by zero at n=2"),
+        (("transform", "--matrix", "riesz:1,0,2", "--x", "expr:1/(n-3)", "--n", "6"),
+         "weight t[2] must be positive for a Riesz matrix"),
+        (("inverse", "--matrix", "riesz:1,0,2", "--y", "expr:1/(n-3)", "--n", "6"),
+         "weight t[2] must be positive for a Riesz matrix"),
+        # t_2 = 0 and a bad x_2 (y_2) in one row: the weight is read first
+        (("transform", "--matrix", "riesz:1,0,2", "--x", "expr:1/(n-2)", "--n", "6"),
+         "weight t[2] must be positive for a Riesz matrix"),
+        (("inverse", "--matrix", "riesz:1,0,2", "--y", "expr:1/(n-2)", "--n", "6"),
+         "weight t[2] must be positive for a Riesz matrix"),
+        (("transform", "--matrix", "cesaro", "--x", "expr:1/(n-4)", "--n", "6"),
+         "expression '1/(n-4)' divides by zero at n=4"),
+        (("inverse", "--matrix", "cesaro", "--y", "expr:1/(n-4)", "--n", "6"),
+         "expression '1/(n-4)' divides by zero at n=4"),
     ])
     def test_first_error_is_the_first_bad_entry_read(self, capsys, argv, line, mode):
         # the entry that fails first depends on the order the command reads

@@ -873,6 +873,146 @@ class TestRieszFloatRows:
                 F.row(n, n)
 
 
+def _weighted_mean(spec):
+    """An exact Riesz matrix over the weight spec, or Cesàro."""
+    if spec == "cesaro":
+        return cesaro_matrix()
+    return riesz_matrix(parse_weight_spec(spec)[0])
+
+
+def _hookless(M):
+    """The same matrix with no hooks: apply and invert take the generic
+    entry-wise sum and back-substitution."""
+    return TriangleOperator(M.entry, kind=TriangleKind.STRICT_TRIANGLE, exact=M.exact)
+
+
+def _logged(log, name, rule):
+    """A sequence that logs (name, k) at the first read of each term."""
+    def logged_rule(k):
+        log.append((name, k))
+        return rule(k)
+
+    return LazySequence(logged_rule, label=name)
+
+
+_MEANS = ["harmonic", "power:-2", "geometric:1/2", "1,2,3", "ones", "cesaro"]
+_ORDERS = {"ascending": list(range(1, 129)), "97 first": [97, *range(1, 129)]}
+
+
+class TestWeightedMeanRecurrences:
+    """Exact Riesz and Cesàro means apply and invert by O(1)-per-term
+    recurrences; each must equal the generic entry-wise path exactly, read
+    the weights and the sequence in the same order, and stay off float."""
+
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
+    @pytest.mark.parametrize("spec", _MEANS)
+    def test_apply_equals_the_entrywise_sum(self, spec, order):
+        M = _weighted_mean(spec)
+        assert M.apply_special is not None
+        for x in (harmonic(), random_sequence(random.Random(7), 100),
+                  parse_sequence_spec("alternating")[0]):
+            got = apply_triangle(M, x)
+            want = apply_triangle(_hookless(M), x)
+            for n in _ORDERS[order]:
+                assert got.at(n) == want.at(n) and type(got.at(n)) is Fraction, n
+
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
+    @pytest.mark.parametrize("spec", _MEANS)
+    def test_inverse_equals_back_substitution(self, spec, order):
+        M = _weighted_mean(spec)
+        assert M.inverse_special is not None
+        for y in (harmonic(), random_sequence(random.Random(8), 100),
+                  parse_sequence_spec("1,2,3")[0]):
+            got = invert_triangle(M, y)
+            want = invert_triangle(_hookless(M), y)
+            for n in _ORDERS[order]:
+                assert got.at(n) == want.at(n) and type(got.at(n)) is Fraction, n
+
+    @pytest.mark.parametrize("direction", [apply_triangle, invert_triangle])
+    @pytest.mark.parametrize("order", [[9, *range(1, 13)], [5, 2, 12, 1, 7]])
+    def test_weights_and_terms_are_read_in_the_generic_order(self, direction, order):
+        # term n reads t_1..t_n before x_n (y_n); an inverse asked first at
+        # n walks 1..n-1 first
+        logs = []
+        for hooks in (True, False):
+            log = []
+            M = riesz_matrix(_logged(log, "t", lambda k: Fraction(k % 4 + 1, k)))
+            seq = _logged(log, "x", lambda k: Fraction(-1) ** k / (k + 2))
+            values = direction(M if hooks else _hookless(M), seq)
+            logs.append([values.at(n) for n in order] + log)
+        assert logs[0] == logs[1]
+        first = order[0]
+        if direction is apply_triangle:
+            assert logs[0][len(order):len(order) + first + 1] == [
+                *[("t", k) for k in range(1, first + 1)], ("x", 1)]
+        else:
+            assert logs[0][len(order):len(order) + 3] == [("t", 1), ("x", 1), ("t", 2)]
+
+    @pytest.mark.parametrize("direction", [apply_triangle, invert_triangle])
+    def test_a_bad_weight_or_term_fails_first_as_in_the_generic_path(self, direction):
+        # terms asked in order: a bad x_2 fails before t_3 = 0 is read, and
+        # t_2 = 0 before a bad x_3; asked first at 6, a transform meets
+        # t_3 = 0 first and an inverse y_2
+        for t, bad, order in (("1,2,0", 2, range(1, 7)), ("1,0,2", 3, range(1, 7)),
+                              ("1,2,0", 2, [6])):
+            raised = []
+            for hooks in (True, False):
+                M = riesz_matrix(parse_weight_spec(t)[0])
+                seq = LazySequence(lambda k: Fraction(1, k - bad))
+                values = direction(M if hooks else _hookless(M), seq)
+                with pytest.raises((ZeroDivisionError, InvalidWeightError)) as exc:
+                    for n in order:
+                        values.at(n)
+                raised.append((n, exc.type, str(exc.value)))
+            assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("spec", ["harmonic", "cesaro"])
+    def test_float_operators_have_no_hooks(self, spec):
+        F = _weighted_mean(spec).as_float()
+        assert F.apply_special is None and F.inverse_special is None
+        R = riesz_matrix(harmonic(exact=False))
+        assert R.apply_special is None and R.inverse_special is None
+
+    # values the entry-wise paths gave before the recurrences existed
+    FLOAT_VALUES = {
+        ("riesz", apply_triangle): ["1.0", "0.75", "0.6338383838383838",
+                                    "0.40885796015431064", "0.2808788195157261"],
+        ("cesaro", apply_triangle): ["1.0", "0.75", "0.6111111111111112",
+                                     "0.29289682539682543", "0.10696357597340937"],
+        ("riesz", invert_triangle): ["1.0", "-1.25", "-0.5138888888888888",
+                                     "-0.05635851459925476", "-0.00489817390000338"],
+        ("cesaro", invert_triangle): ["1.0", "0.0", "0.0", "0.0", "0.0"],
+    }
+
+    @pytest.mark.parametrize("matrix, direction", sorted(FLOAT_VALUES, key=str))
+    def test_an_exact_mean_on_a_float_sequence_keeps_its_float_values(self, matrix,
+                                                                      direction):
+        # the hooks decline a float sequence, so the entry-wise sums run
+        if matrix == "riesz":
+            M, seq = riesz_matrix(harmonic()), powers(-2, exact=False)
+        else:
+            M, seq = cesaro_matrix(), harmonic(exact=False)
+        got = direction(M, seq)
+        want = direction(_hookless(M), seq)
+        assert [repr(got.at(n)) for n in (1, 2, 3, 10, 40)] == self.FLOAT_VALUES[
+            matrix, direction]
+        assert list(map(repr, got.prefix(64))) == list(map(repr, want.prefix(64)))
+
+
+class TestEulerInverse:
+    """Euler means compose as E_r E_s = E_rs, so E_{1/r} is the exact
+    inverse of E_r: a closed-form oracle for back-substitution."""
+
+    @pytest.mark.parametrize("r", ["1/2", "1/3", "2/3"])
+    def test_back_substitution_is_the_euler_mean_of_order_one_over_r(self, r):
+        r = Fraction(r)
+        for y in (harmonic(), random_sequence(random.Random(9), 24)):
+            x = invert_triangle(euler_matrix(r), y)
+            for n in range(1, 25):
+                assert x.at(n) == sum(euler_entry(1 / r, n, k) * y.at(k)
+                                      for k in range(1, n + 1)), n
+
+
 class TestMatrixProduct:
     def test_cesaro_times_difference_telescopes(self):
         P = matrix_product(cesaro_matrix(), difference_matrix())
