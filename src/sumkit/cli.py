@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from .core import (LazySequence, SpaceTag, TruncationSchedule, Verdict, scalar_to_json,
                    _to_float)
@@ -157,6 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--full", action="store_true")
 
     return p
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on first use and kept: ``parse_args``
+    does not change it, and building it costs about twenty parses."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +453,7 @@ def run(argv=None, out=None) -> int:
     """
     stream = out if out is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 

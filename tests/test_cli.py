@@ -7,10 +7,15 @@ serialisation exactly as a shell user would see them.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import run_cli
 
+import sumkit
 from sumkit import classes
 
 
@@ -578,6 +583,22 @@ class TestErrorsAndVersion:
          "expression '1/(n-4)' divides by zero at n=4"),
         (("inverse", "--matrix", "cesaro", "--y", "expr:1/(n-4)", "--n", "6"),
          "expression '1/(n-4)' divides by zero at n=4"),
+        # the beta statistic reads a, then the weights, row by row: row 5
+        # reads a_5 before d_4 reads w_5, and row 5 of a_n = 1/(n-6) reads
+        # d_4 (u_4, w_5) before div_5 (u_5)
+        (("dual-check", "--space", "int-bv", "--kind", "beta", "--a", "expr:1/(n-5)"),
+         "expression '1/(n-5)' divides by zero at n=5"),
+        (("dual-check", "--space", "d-bv", "--kind", "gamma", "--a", "expr:1/(n-5)",
+          "--w", "expr:n-5"), "expression '1/(n-5)' divides by zero at n=5"),
+        (("dual-check", "--space", "int-bv", "--kind", "gamma", "--a", "expr:1/(n-6)",
+          "--w", "expr:n-5"), "weight w[5] is zero"),
+        (("dual-check", "--space", "d-bv", "--kind", "beta", "--a", "expr:1/(n-6)",
+          "--u", "expr:n-5"), "weight u[5] is zero"),
+        (("dual-check", "--space", "int-bv", "--kind", "gamma", "--a", "power:-2",
+          "--w", "1,1,1,0"), "weight w[4] is zero"),
+        # a bad weight read while the statistic is still inside the support
+        (("dual-check", "--space", "d-bv", "--kind", "gamma", "--a", "3,-1,1/2",
+          "--w", "1,0,2"), "weight w[2] is zero"),
     ])
     def test_first_error_is_the_first_bad_entry_read(self, capsys, argv, line, mode):
         # the entry that fails first depends on the order the command reads
@@ -637,6 +658,26 @@ class TestErrorsAndVersion:
         code, _ = run_cli("--version")
         assert code == 0
         assert "sumkit" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # run keeps one parser for the process; a parse that exits or fails
+        # must leave nothing behind that a later call would see
+        env = {**os.environ, "PYTHONPATH": str(Path(sumkit.__file__).parents[1])}
+        value = ("transform", "--space", "int-bv", "--x", "harmonic", "--n", "6")
+        for argv in [value,
+                     ("--version",),
+                     ("norm", "--space", "int-bv", "--x", "ones", "--bogus"),
+                     ("dual-check", "--kind", "gamma", "--a", "ones"),
+                     ("transform", "--space", "int-bv", "--matrix", "cesaro", "--x", "ones"),
+                     value,
+                     ("inverse", "--matrix", "cesaro", "--y", "1,2,3", "--n", "5")]:
+            fresh = subprocess.run(
+                [sys.executable, "-c", "from sumkit.cli import main; main()", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            code, text = run_cli(*argv)
+            out, err = capsys.readouterr()
+            assert (code, out + text, err) == (fresh.returncode, fresh.stdout,
+                                               fresh.stderr), argv
 
 
 class TestScheduleSelection:

@@ -21,11 +21,13 @@ from sumkit.core import (
 from sumkit.duals import (
     CORRECTION_NOTES,
     DualMatrixKind,
+    _exact_row_sums,
     alpha_dual_check,
     beta_dual_check,
     dual_kernel_matrix,
     gamma_dual_check,
     pairing_identity_check,
+    sequence_pairing_rows,
 )
 from sumkit.errors import InvalidWeightError
 from sumkit.operators import (
@@ -388,3 +390,129 @@ class TestSupportAwareBetaStatistic:
             with pytest.raises(InvalidWeightError) as got:
                 check(space, a, wp, FAST)
             assert (got.value.which, got.value.index) == (which, 11), check.__name__
+
+
+# ---------------------------------------------------------------------------
+# The exact row sums from two Fenwick sums against the row-built ones
+# ---------------------------------------------------------------------------
+
+
+def _logged(seq, name, log):
+    """``seq`` with each first read of a term appended to ``log``."""
+    def rule(k):
+        log.append((name, k))
+        return seq.at(k)
+    return LazySequence(rule, support=seq.support, exact=seq.exact)
+
+
+# d_k = (1/u_k)(1/w_k - 1/w_{k+1}): w = 1,1,2,2,... gives d_k = 0 at odd k
+# only; u = alternating, w = harmonic gives d_k = -u_k, of both signs; and
+# w_k = 1/(1 + k mod 3) gives d = -1, 2, -1, -1, 2, ...
+_EXACT_WEIGHTS = {
+    "steps": lambda: WeightPair(ones(), LazySequence(lambda k: Fraction((k + 1) // 2))),
+    "signs": lambda: WeightPair(alternating(), harmonic()),
+    "cycle": lambda: WeightPair(ones(), LazySequence(lambda k: Fraction(1, 1 + k % 3))),
+    "ones/ones": lambda: WP_ONES,
+    "random": lambda: random_weight_pair(random.Random(91)),
+}
+_EXACT_SEQUENCES = {
+    "power:-2": lambda: powers(-2),
+    "alternating": lambda: alternating(),
+    "terms[100]": lambda: random_sequence(random.Random(92), 100),
+    "finite 3,-1,1/2": lambda: LazySequence.from_terms([3, -1, Fraction(1, 2)]),
+    "e5": lambda: LazySequence.unit(5),
+}
+_SCHED_96 = TruncationSchedule(sizes=(24, 48, 96))
+
+
+class TestExactRowSums:
+    """Exact beta and gamma statistics from the row-sum identity equal the
+    row-built and entry-wise ones, as the same Fractions, with the same
+    reads in the same order."""
+
+    @pytest.mark.parametrize("weights", sorted(_EXACT_WEIGHTS))
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_statistic_equals_the_entrywise_loop(self, space, weights):
+        kind = DualMatrixKind(f"beta-{space}")
+        for name, make in _EXACT_SEQUENCES.items():
+            wp = _EXACT_WEIGHTS[weights]()
+            want = entrywise_beta_statistic(entrywise_beta_kernel(kind, make(), wp),
+                                            _SCHED_96)
+            for check in (gamma_dual_check, beta_dual_check):
+                v = check(space, make(), _EXACT_WEIGHTS[weights](), _SCHED_96)
+                assert (v.trace, v.witness["row"]) == want, (name, check.__name__)
+                assert all(type(s) is Fraction for _, s in v.trace), name
+
+    @pytest.mark.parametrize("weights", sorted(_EXACT_WEIGHTS))
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_every_row_sum_equals_the_built_row(self, space, weights):
+        integrated = space == "int-bv"
+        for name, make in _EXACT_SEQUENCES.items():
+            wp = _EXACT_WEIGHTS[weights]()
+            rows = sequence_pairing_rows(make(), wp, integrated, Fraction(0))
+            # rows past a finite support too: there lead_k = 0 and P is constant
+            want = [sum(map(abs, rows(n)), Fraction(0)) for n in range(1, 97)]
+            _, d = wp.pairing_weights(integrated, 2 * 96 - 1)
+            got = _exact_row_sums(rows.lead, rows.P, d, 96)
+            assert got == want, name
+            assert all(type(s) is Fraction for s in got), name
+
+    def test_weights_give_zero_and_nonzero_d_of_both_signs(self):
+        signs = {}
+        for name, make in _EXACT_WEIGHTS.items():
+            signs[name] = {(d > 0) - (d < 0) for d in
+                           make().pairing_weights(True, 2 * 96 - 1)[1][1:]}
+        assert signs["steps"] == {0, 1} and signs["ones/ones"] == {0}
+        assert signs["signs"] == signs["cycle"] == {-1, 1}
+
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_a_tie_goes_to_the_first_row(self, space):
+        # rows 2, 3 and 4 all sum to 6 (int-bv) and rows 3 and 4 to 36 (d-bv)
+        a = LazySequence.from_terms([-2, -2, 1, 1] if space == "int-bv" else [-2, -2, -2, 1])
+        wp = _EXACT_WEIGHTS["cycle"]()
+        sched = TruncationSchedule(sizes=(4, 8, 16))
+        kind = DualMatrixKind(f"beta-{space}")
+        M = entrywise_beta_kernel(kind, a, wp)
+        sums = [sum(map(abs, M.row(n, n)), Fraction(0)) for n in range(1, 5)]
+        assert sums == ([4, 6, 6, 6] if space == "int-bv" else [4, 12, 36, 36])
+        want = entrywise_beta_statistic(M, sched)
+        assert want[1] == (2 if space == "int-bv" else 3)
+        for check in (gamma_dual_check, beta_dual_check):
+            v = check(space, a, _EXACT_WEIGHTS["cycle"](), sched)
+            assert (v.trace, v.witness["row"]) == want
+
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_r_k_equal_to_p_j(self, space):
+        # u = ones, w = harmonic: d_k = -1 and r_k = P_k + lead_k, so cell
+        # (J, k) vanishes where lead_k = P_J - P_k: a_2 makes r_1 = P_2 and
+        # a_3 makes r_2 = P_3 (lead_k = a_k, resp. k^2 a_k)
+        terms = ([1, 2, 6, 1, -3, 2] if space == "int-bv"
+                 else [1, Fraction(1, 2), Fraction(2, 3), 1, -3, 2])
+        a = LazySequence.from_terms(terms)
+        kind = DualMatrixKind(f"beta-{space}")
+        M = entrywise_beta_kernel(kind, a, WP_HARM)
+        assert M.entry(2, 1) == M.entry(3, 2) == 0
+        sched = TruncationSchedule(sizes=(2, 3, 4, 8))
+        want = entrywise_beta_statistic(M, sched)
+        for check in (gamma_dual_check, beta_dual_check):
+            v = check(space, a, WeightPair(ones(), harmonic()), sched)
+            assert (v.trace, v.witness["row"]) == want
+
+    @pytest.mark.parametrize("weights", ["steps", "signs", "random"])
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_reads_are_the_row_paths(self, space, weights):
+        for name, make in _EXACT_SEQUENCES.items():
+            logs = []
+            for route in ("statistic", "rows"):
+                log = []
+                base = _EXACT_WEIGHTS[weights]()
+                a = _logged(make(), "a", log)
+                wp = WeightPair(_logged(base.u, "u", log), _logged(base.w, "w", log))
+                if route == "statistic":
+                    gamma_dual_check(space, a, wp, _SCHED_96)
+                else:
+                    rows = sequence_pairing_rows(a, wp, space == "int-bv", Fraction(0))
+                    for n in range(1, 97):
+                        rows(n)
+                logs.append(log)
+            assert logs[0] == logs[1], name
