@@ -67,8 +67,7 @@ def _reduce_source(A: TriangleOperator, wp: WeightPair, integrated: bool) -> Tri
     """
     if A.row_support is None:
         raise UnsupportedRowError(
-            "source-side reduction needs a row-finite matrix; "
-            "compose with an explicit row bound first")
+            f"source-side reduction needs a row-finite matrix; {A.label} has infinite rows")
     exact = A.exact and wp.exact
     zero: Scalar = Fraction(0) if exact else 0.0
     extent = A.row_support

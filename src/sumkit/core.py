@@ -294,7 +294,8 @@ class TruncationSchedule:
     ``stabilization_tol`` is relative (with an absolute floor of 1 on the
     comparison scale); ``growth_ratio`` is the cumulative factor across
     ``growth_steps`` consecutive strictly-increasing steps that counts as
-    divergence evidence.
+    divergence evidence.  Both must be finite: an infinite tolerance calls
+    every trace stable, and an infinite ratio switches every growth window off.
     """
 
     sizes: tuple[int, ...] = DEFAULT_SIZES
@@ -313,8 +314,12 @@ class TruncationSchedule:
             raise ScheduleError("schedule sizes must be strictly increasing")
         if not (self.stabilization_tol > 0):
             raise ScheduleError("stabilization tolerance must be positive")
+        if not math.isfinite(self.stabilization_tol):
+            raise ScheduleError("stabilization tolerance must be finite")
         if not (self.growth_ratio > 1):
             raise ScheduleError("growth ratio must exceed 1")
+        if not math.isfinite(self.growth_ratio):
+            raise ScheduleError("growth ratio must be finite")
         if self.growth_steps < 1:
             raise ScheduleError("growth window needs at least 1 step")
 

@@ -1,17 +1,20 @@
-"""Tiny text notation for sequences, weights, matrices, and schedules.
+"""Tiny text notation for sequences, weights and matrices.
 
-Everything the command line accepts is parsed here, with exact rational
+Every such command-line spec is parsed here, with exact rational
 semantics: decimal literals become fractions, and every spec has a
-canonical reprint that parses back to the same object.
+canonical reprint that parses back to the same object.  Schedule text is
+parsed by ``core.TruncationSchedule.parse``.
 
 Arithmetic expressions use the variables ``n`` (row / position) and ``k``
-(column) with ``+ - * / ^`` and parentheses; ``^`` takes an integer
-exponent.
+(column) with ``+ - * / ^`` and parentheses: ``* /`` bind tighter than
+``+ -``, both left-associative, and unary minus looser than ``^``, whose
+exponent is a signed integer literal: ``-n^-2`` negates n to the power -2.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +32,9 @@ _TOKEN_RE = re.compile(
 # and the nesting of the compiled closures, so whether an expression is
 # accepted does not depend on how deep the caller's stack already is
 _MAX_TOKENS = 200
+# the binary operators by level, loosest first; every level is left-associative
+_LEVELS = ({"+": operator.add, "-": operator.sub},
+           {"*": operator.mul, "/": operator.truediv})
 
 
 class _ExprParser:
@@ -45,16 +51,12 @@ class _ExprParser:
         i = 0
         while i < len(text):
             m = _TOKEN_RE.match(text, i)
-            if m is None or m.end() == i:
+            if m is None:
                 if text[i:].strip() == "":
                     break
                 raise SpecParseError(f"bad character {text[i]!r} in expression {text!r}")
-            if m.group("num"):
-                tokens.append(("num", Fraction(m.group("num"))))
-            elif m.group("name"):
-                tokens.append(("name", m.group("name")))
-            else:
-                tokens.append(("op", m.group("op")))
+            kind = m.lastgroup
+            tokens.append((kind, Fraction(m[kind]) if kind == "num" else m[kind]))
             i = m.end()
         if len(tokens) > _MAX_TOKENS:
             raise SpecParseError(f"expression {text!r} has {len(tokens)} tokens; "
@@ -76,39 +78,24 @@ class _ExprParser:
             raise SpecParseError(f"expected {op!r} in expression {self.text!r}")
 
     def parse(self) -> Callable[[dict], Fraction]:
-        fn = self._expr()
-        kind, _ = self._peek()
-        if kind != "end":
+        fn = self._binary()
+        if self._peek()[0] != "end":
             raise SpecParseError(f"trailing input in expression {self.text!r}")
         return fn
 
-    def _expr(self):
-        fn = self._term()
+    def _binary(self, level: int = 0):
+        """Operands joined by ``_LEVELS[level]``, left to right; each operand
+        is parsed at the next level, or past the last level as a factor."""
+        tighter = level + 1 < len(_LEVELS)
+        fn = self._binary(level + 1) if tighter else self._factor()
+        ops = _LEVELS[level]
         while True:
             kind, val = self._peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                rhs = self._term()
-                if val == "+":
-                    fn = (lambda a, b: lambda env: a(env) + b(env))(fn, rhs)
-                else:
-                    fn = (lambda a, b: lambda env: a(env) - b(env))(fn, rhs)
-            else:
+            if kind != "op" or val not in ops:
                 return fn
-
-    def _term(self):
-        fn = self._factor()
-        while True:
-            kind, val = self._peek()
-            if kind == "op" and val in "*/":
-                self._next()
-                rhs = self._factor()
-                if val == "*":
-                    fn = (lambda a, b: lambda env: a(env) * b(env))(fn, rhs)
-                else:
-                    fn = (lambda a, b: lambda env: a(env) / b(env))(fn, rhs)
-            else:
-                return fn
+            self._next()
+            rhs = self._binary(level + 1) if tighter else self._factor()
+            fn = (lambda op, a, b: lambda env: op(a(env), b(env)))(ops[val], fn, rhs)
 
     def _factor(self):
         kind, val = self._peek()
@@ -151,7 +138,7 @@ class _ExprParser:
             name = val
             return lambda env: env[name]
         if kind == "op" and val == "(":
-            fn = self._expr()
+            fn = self._binary()
             self._expect_op(")")
             return fn
         raise SpecParseError(f"unexpected token in expression {self.text!r}")
@@ -162,8 +149,7 @@ def compile_arithmetic(text: str, variables: Sequence[str] = ("n",)) -> Callable
 
     A division by zero names the expression and the arguments it hit.
     """
-    parser = _ExprParser(text, variables)
-    fn = parser.parse()
+    fn = _ExprParser(text, variables).parse()
 
     def call(**env) -> Fraction:
         try:
@@ -183,13 +169,16 @@ def _parse_rational(text: str, context: str) -> Fraction:
         raise SpecParseError(f"bad number {text!r} in {context}") from exc
 
 
-def _fmt(q: Fraction) -> str:
-    return str(q)  # Fraction prints p/q, or bare p for integers
-
-
 # ---------------------------------------------------------------------------
 # Sequence and weight specs
 # ---------------------------------------------------------------------------
+
+
+def _rule_of_n(src: str) -> tuple[Callable[[int], Fraction], str]:
+    """``src`` compiled as a rule of n, and its canonical text (no whitespace)."""
+    fn = compile_arithmetic(src, variables=("n",))
+    return (lambda n: fn(n=Fraction(n))), re.sub(r"\s+", "", src)
+
 
 _UNIT_RE = re.compile(r"^e(\d+)$")
 # the sequences named by a bare word
@@ -218,19 +207,20 @@ def _preset_sequence(text: str) -> Optional[tuple[LazySequence, str]]:
         seq = geometric(_parse_rational(body.split(":", 1)[1], "geometric spec"))
         return seq, seq.label
     if body.startswith("expr:"):
-        src = body.split(":", 1)[1]
-        fn = compile_arithmetic(src, variables=("n",))
-        canon = "expr:" + re.sub(r"\s+", "", src)
-        return LazySequence(lambda n: fn(n=Fraction(n)), label=canon), canon
+        rule, src = _rule_of_n(body.split(":", 1)[1])
+        return LazySequence(rule, label="expr:" + src), "expr:" + src
     return None
 
 
-def _explicit_spec(text: str, context: str,
+def _sequence_spec(text: str, context: str,
                    default_tail: Callable[[list[Fraction]], Fraction]
                    ) -> tuple[LazySequence, str]:
-    """An explicit comma list with an optional ``;tail=<expr>``; without
-    one, every term past the list is ``default_tail(terms)``, and a zero
-    fill makes the list length the support."""
+    """A preset, or an explicit comma list with an optional ``;tail=<expr>``;
+    without one, every term past the list is ``default_tail(terms)``, and a
+    zero fill makes the list length the support."""
+    preset = _preset_sequence(text)
+    if preset is not None:
+        return preset
     body, has_directive, directive = text.strip().partition(";")
     directive = directive.strip()
     if has_directive and not directive.startswith("tail="):
@@ -239,13 +229,11 @@ def _explicit_spec(text: str, context: str,
     if not terms:
         raise SpecParseError(f"empty term list in {context}")
     head = len(terms)
-    canon = ",".join(_fmt(t) for t in terms)
+    canon = ",".join(map(str, terms))  # Fraction prints p/q, or bare p for integers
     support = None
     if has_directive:
-        tail_src = directive[len("tail="):]
-        tail_fn = compile_arithmetic(tail_src, variables=("n",))
-        canon += ";tail=" + re.sub(r"\s+", "", tail_src)
-        tail = lambda n: tail_fn(n=Fraction(n))
+        tail, tail_src = _rule_of_n(directive[len("tail="):])
+        canon += ";tail=" + tail_src
     else:
         fill = default_tail(terms)
         tail = lambda n: fill
@@ -261,19 +249,13 @@ def _explicit_spec(text: str, context: str,
 def parse_sequence_spec(text: str) -> tuple[LazySequence, str]:
     """A sequence spec: a preset name, ``expr:<e>``, or an explicit comma
     list with an optional ``;tail=<expr>`` (default tail: zeros)."""
-    preset = _preset_sequence(text)
-    if preset is not None:
-        return preset
-    return _explicit_spec(text, "sequence spec", lambda terms: Fraction(0))
+    return _sequence_spec(text, "sequence spec", lambda terms: Fraction(0))
 
 
 def parse_weight_spec(text: str) -> tuple[LazySequence, str]:
     """A weight spec: like a sequence spec, but the default tail of an
     explicit list repeats the last term (weights must stay nonzero)."""
-    preset = _preset_sequence(text)
-    if preset is not None:
-        return preset
-    return _explicit_spec(text, "weight spec", lambda terms: terms[-1])
+    return _sequence_spec(text, "weight spec", lambda terms: terms[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +283,7 @@ def parse_family_spec(text: str) -> Optional[tuple[str, object, str]]:
         return None
     if family.param == "rational":
         r = _parse_rational(arg, f"{name} spec")
-        return name, r, f"{name}:{_fmt(r)}"
+        return name, r, f"{name}:{r}"
     if family.param == "weights":
         weights, canon = parse_weight_spec(arg)
         return name, weights, f"{name}:{canon}"
@@ -326,15 +308,11 @@ def parse_matrix_spec(text: str, *, full: bool = False) -> MatrixSpec:
         src = body.split(":", 1)[1]
         fn = compile_arithmetic(src, variables=("n", "k"))
         canon = "expr:" + re.sub(r"\s+", "", src)
-        if full:
-            op = TriangleOperator(
-                lambda n, k: fn(n=Fraction(n), k=Fraction(k)),
-                kind=TriangleKind.ROW_EVALUABLE, exact=True, label=canon)
-            return MatrixSpec(op, canon, ["expression matrix used with full rows"])
         op = TriangleOperator(
             lambda n, k: fn(n=Fraction(n), k=Fraction(k)),
-            kind=TriangleKind.STRICT_TRIANGLE, exact=True, label=canon)
-        return MatrixSpec(op, canon)
+            kind=TriangleKind.ROW_EVALUABLE if full else TriangleKind.STRICT_TRIANGLE,
+            exact=True, label=canon)
+        return MatrixSpec(op, canon, ["expression matrix used with full rows"] if full else [])
     if body.startswith("csv:"):
         return _csv_matrix(body.split(":", 1)[1])
     raise SpecParseError(f"unknown matrix spec {text!r}")

@@ -489,6 +489,20 @@ class TestErrorsAndVersion:
          "has 986 tokens"),
         (("transform", "--space", "int-bv", "--x", "expr:" + "+".join(["n"] * 1501)),
          "has 3001 tokens"),
+        # a source-side reduction names the matrix whose rows are infinite
+        (("class-check", "--source", "int-bv", "--target", "linf", "--matrix", "taylor:1/3",
+          "--schedule", "4,8,16"),
+         "source-side reduction needs a row-finite matrix; taylor:1/3 has infinite rows"),
+        # the row bound truncates the generator, not the full expression matrix
+        (("class-check", "--source", "d-bv", "--target", "cesaro",
+          "--matrix", "expr:1/(n+k)", "--full", "--schedule", "4,8,16", "--row-bound", "8"),
+         "source-side reduction needs a row-finite matrix; "
+         "cesaro*expr:1/(n+k) has infinite rows"),
+        # schedule options must be finite
+        (("dual-check", "--space", "int-bv", "--kind", "beta", "--a", "ones",
+          "--schedule", "16,32,64;tol=inf"), "stabilization tolerance must be finite"),
+        (("dual-check", "--space", "int-bv", "--kind", "beta", "--a", "ones",
+          "--schedule", "16,32,64;ratio=inf"), "growth ratio must be finite"),
     ])
     def test_bad_input_gives_one_error_line(self, capsys, argv, message):
         code, text = run_cli(*argv)

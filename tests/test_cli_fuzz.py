@@ -50,6 +50,11 @@ def expressions(variables: str) -> st.SearchStrategy:
         max_leaves=5)
 
 
+# malformed expressions: a missing operand, a bad exponent, bad characters,
+# trailing input, a missing ')'
+BAD_EXPRESSIONS = ["expr:(", "expr:2^(2)", "expr:n $", "expr:1.", "expr:2^2^2", "expr:(((n)"]
+
+
 def sequence_specs() -> st.SearchStrategy:
     return mostly(st.one_of(
         st.sampled_from(sorted(_PRESETS)),
@@ -61,7 +66,7 @@ def sequence_specs() -> st.SearchStrategy:
             lambda t: ",".join(map(str, t))),
         st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
                   expressions("n")).map(lambda p: ",".join(map(str, p[0])) + f";tail={p[1]}")),
-        st.sampled_from(["", "expr:(", "1,,2", "1;foo", "power:x"]))
+        st.sampled_from(["", "1,,2", "1;foo", "power:x", *BAD_EXPRESSIONS]))
 
 
 def family_specs() -> st.SearchStrategy:
@@ -78,7 +83,7 @@ def family_specs() -> st.SearchStrategy:
 
 def matrix_specs() -> st.SearchStrategy:
     return mostly(st.one_of(family_specs(), expressions("nk").map(lambda e: f"expr:{e}")),
-                  st.sampled_from(["csv:/nonexistent/m.csv", "nothing"]))
+                  st.sampled_from(["csv:/nonexistent/m.csv", "nothing", *BAD_EXPRESSIONS]))
 
 
 def schedule_specs() -> st.SearchStrategy:
@@ -86,7 +91,8 @@ def schedule_specs() -> st.SearchStrategy:
                    st.lists(st.integers(0, 64), max_size=4))
     option = mostly(st.sampled_from(["tol=1e-3", "tol=1e-12", "ratio=2", "ratio=1.2",
                                      "steps=1", "steps=2"]),
-                    st.sampled_from(["tol=0", "ratio=1", "steps=x", "foo=1", "bad"]))
+                    st.sampled_from(["tol=0", "ratio=1", "steps=x", "foo=1", "bad",
+                                     "tol=inf", "ratio=inf", "tol=nan"]))
     return st.tuples(sizes.map(lambda s: ",".join(map(str, s))),
                      st.lists(option, max_size=2)).map(lambda p: ";".join([p[0], *p[1]]))
 

@@ -136,6 +136,18 @@ class TestSchedules:
         with pytest.raises(ScheduleError):
             TruncationSchedule.parse("")
 
+    @pytest.mark.parametrize("option, message", [
+        ("tol=inf", "stabilization tolerance must be finite"),
+        ("ratio=inf", "growth ratio must be finite"),
+        ("tol=nan", "stabilization tolerance must be positive"),
+        ("tol=-inf", "stabilization tolerance must be positive"),
+        ("ratio=nan", "growth ratio must exceed 1"),
+        ("ratio=-inf", "growth ratio must exceed 1"),
+    ])
+    def test_parse_rejects_non_finite_options(self, option, message):
+        with pytest.raises(ScheduleError, match=f"^{message}$"):
+            TruncationSchedule.parse("16,32,64;" + option)
+
     def test_doubled(self):
         assert SCHED.doubled().sizes == (16, 32, 64, 128, 256, 512)
         assert SCHED.doubled().stabilization_tol == SCHED.stabilization_tol

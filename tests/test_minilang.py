@@ -1,5 +1,6 @@
 """Tests for the textual spec notation used by the command line."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,139 @@ class TestExpressions:
         assert ev("-" * 199 + "n", n=2) == -2
         with pytest.raises(SpecParseError, match="has 201 tokens; at most 200"):
             ev("-" * 200 + "n", n=2)
+
+
+# every outcome below was recorded before the parser was last rewritten:
+# the value at each of POINTS, or the exact error text of the compile
+# or of the evaluation at that point
+POINTS = ((1, 1), (2, 1), (3, 2))
+LONG_SUM = "-n" + "+k" * 99                     # 200 tokens
+OUTCOMES = [
+    ("n", ("1", "2", "3")),
+    ("k", ("1", "1", "2")),
+    ("n+k", ("2", "3", "5")),
+    ("n-k", ("0", "1", "1")),
+    ("n*k", ("1", "2", "6")),
+    ("n/k", ("1", "2", "3/2")),
+    ("2+3*n", ("5", "8", "11")),
+    ("(2+3)*n", ("5", "10", "15")),
+    ("n-k-1", ("-1", "0", "0")),
+    ("n/k/2", ("1/2", "1", "3/4")),
+    ("n-k+1", ("1", "2", "2")),
+    ("n/2*k", ("1/2", "1", "3")),
+    ("n*k/2", ("1/2", "1", "3")),
+    ("-n^2", ("-1", "-4", "-9")),
+    ("--n", ("1", "2", "3")),
+    ("-n-k", ("-2", "-3", "-5")),
+    ("2^-3", ("1/8", "1/8", "1/8")),
+    ("n^-1", ("1", "1/2", "1/3")),
+    ("n^0", ("1", "1", "1")),
+    ("k^3", ("1", "1", "8")),
+    ("(n+k)^2", ("4", "9", "25")),
+    ("-(n-k)^2", ("0", "-1", "-1")),
+    ("1.5*n", ("3/2", "3", "9/2")),
+    ("0.25 + k", ("5/4", "5/4", "9/4")),
+    ("  n  *  k  ", ("1", "2", "6")),
+    ("n - n", ("0", "0", "0")),
+    ("1/(n+k)", ("1/2", "1/3", "1/5")),
+    ("n*-k", ("-1", "-2", "-6")),
+    ("n/-k", ("-1", "-2", "-3/2")),
+    ("2*(n-(k-1))", ("2", "4", "4")),
+    ("((n))", ("1", "2", "3")),
+    ("n^2*k^2/(n+k)", ("1/2", "4/3", "36/5")),
+    ("007", ("7", "7", "7")),
+    ("n^2.0", ("1", "4", "9")),
+    ("-" * 199 + "n", ("-1", "-2", "-3")),
+    (LONG_SUM, ("98", "97", "195")),
+    ("1/(n-1)", ("ZeroDivisionError: expression '1/(n-1)' divides by zero at n=1, k=1",
+                 "1", "1/2")),
+    ("1/(n-k)", ("ZeroDivisionError: expression '1/(n-k)' divides by zero at n=1, k=1",
+                 "1", "1")),
+    ("0^-1", ("ZeroDivisionError: expression '0^-1' divides by zero at n=1, k=1",
+              "ZeroDivisionError: expression '0^-1' divides by zero at n=2, k=1",
+              "ZeroDivisionError: expression '0^-1' divides by zero at n=3, k=2")),
+    ("(k-1)^-2", ("ZeroDivisionError: expression '(k-1)^-2' divides by zero at n=1, k=1",
+                  "ZeroDivisionError: expression '(k-1)^-2' divides by zero at n=2, k=1",
+                  "1")),
+    ("n/0", ("ZeroDivisionError: expression 'n/0' divides by zero at n=1, k=1",
+             "ZeroDivisionError: expression 'n/0' divides by zero at n=2, k=1",
+             "ZeroDivisionError: expression 'n/0' divides by zero at n=3, k=2")),
+    ("n/(k-k)", ("ZeroDivisionError: expression 'n/(k-k)' divides by zero at n=1, k=1",
+                 "ZeroDivisionError: expression 'n/(k-k)' divides by zero at n=2, k=1",
+                 "ZeroDivisionError: expression 'n/(k-k)' divides by zero at n=3, k=2")),
+    ("n $", "SpecParseError: bad character ' ' in expression 'n $'"),
+    ("$", "SpecParseError: bad character '$' in expression '$'"),
+    ("n#", "SpecParseError: bad character '#' in expression 'n#'"),
+    ("", "SpecParseError: unexpected token in expression ''"),
+    ("   ", "SpecParseError: unexpected token in expression '   '"),
+    ("2^2^2", "SpecParseError: trailing input in expression '2^2^2'"),
+    ("2^(2)", "SpecParseError: exponent must be an integer in '2^(2)'"),
+    ("2^--1", "SpecParseError: exponent must be an integer in '2^--1'"),
+    ("1.", "SpecParseError: bad character '.' in expression '1.'"),
+    (".5", "SpecParseError: bad character '.' in expression '.5'"),
+    ("n^k", "SpecParseError: exponent must be an integer in 'n^k'"),
+    ("n^1.5", "SpecParseError: exponent must be an integer in 'n^1.5'"),
+    ("n^-k", "SpecParseError: exponent must be an integer in 'n^-k'"),
+    ("n^", "SpecParseError: exponent must be an integer in 'n^'"),
+    ("q+1", "SpecParseError: unknown name 'q' in expression 'q+1' (allowed: n, k)"),
+    ("x1", "SpecParseError: unknown name 'x1' in expression 'x1' (allowed: n, k)"),
+    ("N", "SpecParseError: unknown name 'N' in expression 'N' (allowed: n, k)"),
+    ("n n", "SpecParseError: trailing input in expression 'n n'"),
+    ("2 3", "SpecParseError: trailing input in expression '2 3'"),
+    ("1e5", "SpecParseError: trailing input in expression '1e5'"),
+    ("n)", "SpecParseError: trailing input in expression 'n)'"),
+    ("(n", "SpecParseError: expected ')' in expression '(n'"),
+    ("(((n)", "SpecParseError: expected ')' in expression '(((n)'"),
+    ("(", "SpecParseError: unexpected token in expression '('"),
+    ("n+", "SpecParseError: unexpected token in expression 'n+'"),
+    ("*n", "SpecParseError: unexpected token in expression '*n'"),
+    ("n**2", "SpecParseError: unexpected token in expression 'n**2'"),
+    ("-" * 200 + "n", f"SpecParseError: expression {'-' * 200 + 'n'!r} has 201 tokens; "
+                      "at most 200 are allowed"),
+    (LONG_SUM + "*1", f"SpecParseError: expression {LONG_SUM + '*1'!r} has 202 tokens; "
+                      "at most 200 are allowed"),
+]
+
+
+def outcome(src):
+    """The recorded form of what compiling ``src`` in n, k gives."""
+    try:
+        fn = compile_arithmetic(src, variables=("n", "k"))
+    except SpecParseError as exc:
+        return f"SpecParseError: {exc}"
+    values = []
+    for n, k in POINTS:
+        try:
+            values.append(str(fn(n=Fraction(n), k=Fraction(k))))
+        except ZeroDivisionError as exc:
+            values.append(f"ZeroDivisionError: {exc}")
+    return tuple(values)
+
+
+@pytest.mark.parametrize("src,want", OUTCOMES, ids=[repr(src)[:24] for src, _ in OUTCOMES])
+def test_recorded_outcomes(src, want):
+    assert outcome(src) == want
+
+
+def test_deepest_expressions_compile_from_a_deep_caller():
+    """The deepest accepted nestings still compile and evaluate when the
+    caller already stands 450 frames from the bottom of the stack."""
+
+    def stack_depth():
+        frame, depth = sys._getframe(1), 0
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        return depth
+
+    def dive():
+        if stack_depth() < 450:
+            return dive()
+        parens = compile_arithmetic("(" * 99 + "n" + ")" * 99)(n=Fraction(2))
+        minus = compile_arithmetic("-" * 199 + "n")(n=Fraction(2))
+        return parens, minus
+
+    assert dive() == (2, -2)
 
 
 class TestSequenceSpecs:
