@@ -11,9 +11,12 @@ triangle on the target side.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, NamedTuple, Optional
 
 from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceTag,
@@ -292,9 +295,10 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
             return [x - y for x, y in zip(r[1:], r)]
         label = "C23"
 
+    # fb[n][k] is float(cell (n, k)), in one array('d') per row: 8 bytes a
+    # cell, where a list would keep a float object for each
     n_max = sched.max_size
-    fb = [[0.0] * (n_max + 1)]
-    fb.extend([0.0] * (n_max + 1) for _ in range(n_max))
+    fb = [array("d", [0.0]) * (n_max + 1) for _ in range(n_max + 1)]
     upper_acc = zero
     prev = 0
     upper_trace: list[tuple[int, Scalar]] = []
@@ -307,10 +311,12 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
     for s in sched.sizes:
         for n in range(1, s + 1):
             lo = prev + 1 if n <= prev else 1
-            fb_n = fb[n]
-            for k, v in enumerate(cells(n, lo, s), lo):
-                upper_acc = upper_acc + abs(v)
-                fb_n[k] = _to_float(v)
+            vals = cells(n, lo, s)
+            # cells gives s - lo + 1 values (C22 and C23 difference s - lo + 2
+            # cells of A.row, C23 with a zero before column 1), so the slice
+            # assignment keeps the row's length
+            upper_acc = reduce(add, map(abs, vals), upper_acc)
+            fb[n][lo:s + 1] = array("d", map(_to_float, vals) if A.exact else vals)
         prev = s
         upper_trace.append((s, upper_acc))
 

@@ -449,7 +449,8 @@ def run(argv=None, out=None) -> int:
 
     Counts, schedule and weights are parsed here, in that order, before the
     command parses its own specs.  Any input error, including a file that
-    cannot be written, prints one ``sumkit:`` line and no report.
+    cannot be written or a schedule size too large to allocate, prints one
+    ``sumkit:`` line and no report.
     """
     stream = out if out is not None else sys.stdout
     try:
@@ -493,8 +494,11 @@ def run(argv=None, out=None) -> int:
             size = sched.sizes[0]
             _write_csv(args.matrix_csv, ([scalar_to_json(v) for v in matrix.row(n, size)]
                                          for n in range(1, size + 1)))
-    except (SumkitError, ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"sumkit: {exc}", file=sys.stderr)
+    except (SumkitError, ValueError, ZeroDivisionError, OSError, OverflowError,
+            MemoryError) as exc:
+        # a MemoryError has no message: a schedule size past the address
+        # space raises it before allocating anything
+        print(f"sumkit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
     stream.write(text)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -136,7 +137,10 @@ class TriangleOperator:
     per-row support or an explicit row truncation bound.
 
     A row builder is called at most once per row; the row is kept and
-    entries past its end are zero, so it must cover the row's support.
+    entries past its end are zero, so it must cover the row's support.  A
+    float operator keeps a row as an ``array('d')``, 8 bytes per cell, and
+    reads each cell back bit for bit as a fresh float; a row of one value
+    is kept as built.
     Every finite-row matrix sumkit constructs is row-built.  An entry rule
     is memoized entry by entry; it serves only spec rules whose read order
     is the contract (``expr:``, ``csv:``) and infinite rows (``taylor:``,
@@ -198,10 +202,16 @@ class TriangleOperator:
     def zero(self) -> Scalar:
         return Fraction(0) if self.exact else 0.0
 
-    def _built_row(self, n: int) -> list:
+    def _built_row(self, n: int):
         row = self._rows.get(n)
         if row is None:
-            row = self._rows[n] = self._build_row(n)
+            row = self._build_row(n)
+            # a row of one value (Cesàro's [1/n] * n) stays as built: a list
+            # of one shared object costs 8 bytes per cell too, and a read of
+            # it boxes no new float
+            if not self.exact and row and row.count(row[0]) != len(row):
+                row = array("d", row)
+            self._rows[n] = row
         return row
 
     def entry(self, n: int, k: int) -> Scalar:
@@ -222,10 +232,13 @@ class TriangleOperator:
     def row(self, n: int, upto: int, start: int = 1) -> list[Scalar]:
         """The cells (n, start), ..., (n, upto) as a fresh list, empty when
         upto < start: a slice of the kept row, padded with zeros, or
-        ``entry(n, k)`` for each k in ascending order."""
+        ``entry(n, k)`` for each k in ascending order.  A packed float row
+        gives a fresh float per cell."""
         if self._rows is None or n < 1 or start < 1:
             return [self.entry(n, k) for k in range(start, upto + 1)]
         cells = self._built_row(n)[start - 1:upto]
+        if type(cells) is array:
+            cells = cells.tolist()
         missing = upto - start + 1 - len(cells)
         return cells + [self.zero()] * missing if missing > 0 else cells
 
@@ -778,9 +791,11 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
         row_support = lambda n: cap
 
     if right_strict:
-        # row j of R, and its nonzero (k-1, R(j,k)) pairs when at most half
-        # of the row is nonzero
-        right_rows: dict[int, tuple[list[Scalar], Optional[list]]] = {}
+        # row j of R: its nonzero (k-1, R(j,k)) pairs when at most half of
+        # the row is nonzero, else the dense row.  A float row-built R hands
+        # out a fresh float per cell, so its dense row is kept packed; an
+        # exact or rule-based R hands out the values it keeps
+        right_rows: dict[int, tuple[Optional[list], Optional[list]]] = {}
         # (n, row n of L, acc after the first len - 1 terms of row n)
         kept: list = [-1, [], []]
 
@@ -811,15 +826,21 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
                 if right is None:
                     rrow = R.row(j, j)
                     nonzero = [(i, r) for i, r in enumerate(rrow) if r != 0]
-                    right = right_rows[j] = (rrow, nonzero if 2 * len(nonzero) <= j else None)
-                rrow, nonzero = right
+                    if 2 * len(nonzero) <= j:
+                        right = nonzero, None
+                    elif exact or R._rows is None:
+                        right = None, rrow
+                    else:
+                        right = None, array("d", rrow)
+                    right_rows[j] = right
+                nonzero, dense = right
                 if not exact:
                     lv = float(lv)
                 if nonzero is not None and (exact or math.isfinite(lv)):
                     for i, r in nonzero:
                         acc[i] = acc[i] + lv * r
                 else:
-                    acc[:j] = [a + lv * r for a, r in zip(acc, rrow)]
+                    acc[:j] = [a + lv * r for a, r in zip(acc, dense or R.row(j, j))]
             return acc
 
         return TriangleOperator(build_row=build_row, kind=kind, row_support=row_support,

@@ -503,6 +503,14 @@ class TestErrorsAndVersion:
           "--schedule", "16,32,64;tol=inf"), "stabilization tolerance must be finite"),
         (("dual-check", "--space", "int-bv", "--kind", "beta", "--a", "ones",
           "--schedule", "16,32,64;ratio=inf"), "growth ratio must be finite"),
+        # a size past the address space fails before anything is allocated
+        (("class-check", "--source", "linf", "--target", "l1", "--matrix", "identity",
+          "--schedule", "16,32,2305843009213693952"), "out of memory"),
+        (("class-check", "--source", "l1", "--target", "bs", "--matrix", "cesaro",
+          "--schedule", "16,32,2305843009213693952"), "out of memory"),
+        (("class-check", "--source", "linf", "--target", "l1", "--matrix", "identity",
+          "--schedule", "16,32,10000000000000000000"),
+         "cannot fit 'int' into an index-sized integer"),
     ])
     def test_bad_input_gives_one_error_line(self, capsys, argv, message):
         code, text = run_cli(*argv)

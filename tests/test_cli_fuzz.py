@@ -87,6 +87,8 @@ def matrix_specs() -> st.SearchStrategy:
 
 
 def schedule_specs() -> st.SearchStrategy:
+    # no huge size: C11 or a dual check would loop on one, where C20 and
+    # column scans fail at once (test_cli's error table pins those)
     sizes = mostly(st.sets(st.integers(1, 64), min_size=3, max_size=5).map(sorted),
                    st.lists(st.integers(0, 64), max_size=4))
     option = mostly(st.sampled_from(["tol=1e-3", "tol=1e-12", "ratio=2", "ratio=1.2",

@@ -2,6 +2,8 @@
 
 import math
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -873,6 +875,68 @@ class TestRieszFloatRows:
                 F.row(n, n)
 
 
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+# a NaN with a payload, signed zero and infinities, the least subnormal
+_PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_DEAD_BEEF))[0]
+_SPECIAL_CELLS = [-0.0, _PAYLOAD_NAN, math.inf, -math.inf, 5e-324, 1.0]
+
+
+class TestPackedFloatRows:
+    """A float operator keeps each row as doubles; every read gives back the
+    built cell bit for bit, as a fresh list."""
+
+    @staticmethod
+    def _special():
+        built = {}
+
+        def build_row(n):
+            built[n] = [_SPECIAL_CELLS[(n + k) % 6] for k in range(n)]
+            return built[n]
+
+        F = TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                             exact=False)
+        return F, built
+
+    def test_rows_and_entries_give_back_every_built_bit(self):
+        # the rounded classical rows are pinned by repr, which is exact for
+        # every finite float, in TestIntegerRatioRows
+        F, built = self._special()
+        for n in range(1, 13):
+            for start in (1, 2, n):
+                for upto in (n, n + 3):
+                    got = F.row(n, upto, start)
+                    assert type(got) is list, (n, start, upto)
+                    assert _bits(got) == _bits(built[n][start - 1:] + [0.0] * (upto - n))
+            got = [F.entry(n, k) for k in range(1, n + 3)]
+            assert all(type(v) is float for v in got), n
+            assert _bits(got) == _bits(built[n] + [0.0, 0.0]), n
+
+    def test_a_cesaro_row_stays_one_shared_object(self):
+        F = cesaro_matrix().as_float()
+        for n in (1, 7, 64):
+            row = F.row(n, n)
+            assert all(v is row[0] for v in row), n
+
+    @pytest.mark.parametrize("make", [lambda: riesz_matrix(harmonic()),
+                                      lambda: euler_matrix(Fraction(1, 3))],
+                             ids=["riesz:harmonic", "euler:1/3"])
+    def test_kept_rows_cost_at_most_12_bytes_per_cell(self, make):
+        # a list row keeps a float object and a slot per cell, about 33 bytes
+        tracemalloc.start()
+        try:
+            F = make().as_float()
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(1, 513):
+                F.row(n, n)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / (512 * 513 // 2) <= 12
+
+
 def _weighted_mean(spec):
     """An exact Riesz matrix over the weight spec, or Cesàro."""
     if spec == "cesaro":
@@ -1253,9 +1317,10 @@ class TestProductResume:
                 return other * float(self)
 
         N = 256
-        A = TriangleOperator(
-            build_row=lambda n: [Counted(1.0 / (n + k)) for k in range(1, n + 1)],
-            kind=TriangleKind.STRICT_TRIANGLE, exact=False)
+        # an entry rule keeps the Counted cells, which a row builder's packed
+        # float rows would turn into plain floats
+        A = TriangleOperator(lambda n, k: Counted(1.0 / (n + k)),
+                             kind=TriangleKind.STRICT_TRIANGLE, exact=False)
         for integrated in (True, False):
             P = bv_triangle_product(WP_HARM.as_float(), A, integrated=integrated, label="T*A")
             before = Counted.products
