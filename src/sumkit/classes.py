@@ -12,6 +12,7 @@ triangle on the target side.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -277,7 +278,8 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
 
     Each size reads every row once with ``A.row`` (C22 one column further),
     from the first column not read at an earlier size (C23 one column
-    before it).
+    before it), and on a strict triangle only up to the row's last nonzero
+    cell.
     """
     zero = A.zero()
     if difference == 0:
@@ -296,9 +298,17 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
         label = "C23"
 
     # fb[n][k] is float(cell (n, k)), in one array('d') per row: 8 bytes a
-    # cell, where a list would keep a float object for each
+    # cell, where a list would keep a float object for each.  On a strict
+    # triangle row n holds columns 0..n (C23 0..n+1, as A(n, n+1) - A(n, n)
+    # is not zero): the cells past them are exact zeros, which the readers
+    # take as 0.0 without keeping them.  The list of rows comes first, so a
+    # max size past the address space fails before any row is made
     n_max = sched.max_size
-    fb = [array("d", [0.0]) * (n_max + 1) for _ in range(n_max + 1)]
+    pad = 1 if difference < 0 else 0
+    strict = A.kind is TriangleKind.STRICT_TRIANGLE
+    fb = [array("d")] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        fb[n] = array("d", [0.0]) * ((min(n + pad, n_max) if strict else n_max) + 1)
     upper_acc = zero
     prev = 0
     upper_trace: list[tuple[int, Scalar]] = []
@@ -311,12 +321,15 @@ def _check_subset_sums(A, sched, *, difference: int) -> ConditionVerdict:
     for s in sched.sizes:
         for n in range(1, s + 1):
             lo = prev + 1 if n <= prev else 1
-            vals = cells(n, lo, s)
-            # cells gives s - lo + 1 values (C22 and C23 difference s - lo + 2
+            hi = min(len(fb[n]) - 1, s)
+            if lo > hi:
+                continue  # an old row of a strict triangle: its new cells are zeros
+            vals = cells(n, lo, hi)
+            # cells gives hi - lo + 1 values (C22 and C23 difference hi - lo + 2
             # cells of A.row, C23 with a zero before column 1), so the slice
             # assignment keeps the row's length
             upper_acc = reduce(add, map(abs, vals), upper_acc)
-            fb[n][lo:s + 1] = array("d", map(_to_float, vals) if A.exact else vals)
+            fb[n][lo:hi + 1] = array("d", map(_to_float, vals) if A.exact else vals)
         prev = s
         upper_trace.append((s, upper_acc))
 
@@ -366,8 +379,10 @@ def _signed_rows(rowsum: list[float]) -> list[int]:
 def _exhaustive_rect(fb, depth: int) -> tuple[float, dict]:
     """Best |sum over N x K| with N, K subsets of the first ``depth``
     indices: exhaustive over column subsets (Gray code), closed-form
-    optimal row subset for each."""
-    columns = [[fb[n][k] for n in range(1, depth + 1)] for k in range(1, depth + 1)]
+    optimal row subset for each.  A cell past its row's end is 0.0."""
+    fb_rows = fb[1:depth + 1]
+    columns = [[row[k] if k < len(row) else 0.0 for row in fb_rows]
+               for k in range(1, depth + 1)]
     best, cols, rows = gray_subset_search(columns, 0.0, lambda acc: _row_signs(acc)[0],
                                           _signed_rows)
     return best, {"rows": rows or [], "cols": cols, "method": "exhaustive-12"}
@@ -375,13 +390,19 @@ def _exhaustive_rect(fb, depth: int) -> tuple[float, dict]:
 
 def _greedy_rect(fb, s: int) -> tuple[float, dict]:
     """Greedy sign-selection over all columns of the truncation: keep a
-    column when it improves the row-optimized objective."""
+    column when it improves the row-optimized objective.
+
+    Row widths never decrease, so the rows that reach column k are a
+    suffix, rows i + 1..s; the rows before it would add 0.0 to a row sum,
+    which starts at 0.0 and so is never -0.0: they keep theirs as it is."""
     fb_rows = fb[1:s + 1]
+    ends = [len(row) for row in fb_rows]
     rowsum = [0.0] * s
     chosen: list[int] = []
     best = 0.0
     for k in range(1, s + 1):
-        candidate = [r + row[k] for r, row in zip(rowsum, fb_rows)]
+        i = bisect_right(ends, k)
+        candidate = rowsum[:i] + [r + row[k] for r, row in zip(rowsum[i:], fb_rows[i:])]
         value = _row_signs(candidate)[0]
         if value > best:
             best = value

@@ -139,8 +139,8 @@ class TriangleOperator:
     A row builder is called at most once per row; the row is kept and
     entries past its end are zero, so it must cover the row's support.  A
     float operator keeps a row as an ``array('d')``, 8 bytes per cell, and
-    reads each cell back bit for bit as a fresh float; a row of one value
-    is kept as built.
+    reads each cell back bit for bit as a fresh float; a row of one nonzero
+    value is kept as one value and its length, and reads give that value.
     Every finite-row matrix sumkit constructs is row-built.  An entry rule
     is memoized entry by entry; it serves only spec rules whose read order
     is the contract (``expr:``, ``csv:``) and infinite rows (``taylor:``,
@@ -206,11 +206,13 @@ class TriangleOperator:
         row = self._rows.get(n)
         if row is None:
             row = self._build_row(n)
-            # a row of one value (Cesàro's [1/n] * n) stays as built: a list
-            # of one shared object costs 8 bytes per cell too, and a read of
-            # it boxes no new float
-            if not self.exact and row and row.count(row[0]) != len(row):
-                row = array("d", row)
+            # a row of one value (Cesàro's [1/n] * n, riesz:ones) is kept as
+            # (value, length), and a read of it boxes no new float.  Equal
+            # nonzero floats have equal bits; 0.0 == -0.0, so a row of zeros
+            # is packed, keeping the sign of each
+            if not self.exact and row:
+                v = row[0]
+                row = (v, len(row)) if v and row.count(v) == len(row) else array("d", row)
             self._rows[n] = row
         return row
 
@@ -221,6 +223,8 @@ class TriangleOperator:
             return self.zero()
         if self._rows is not None:
             row = self._built_row(n)
+            if type(row) is tuple:
+                return row[0] if k <= row[1] else self.zero()
             return row[k - 1] if k <= len(row) else self.zero()
         key = (n, k)
         v = self._memo.get(key)
@@ -233,12 +237,16 @@ class TriangleOperator:
         """The cells (n, start), ..., (n, upto) as a fresh list, empty when
         upto < start: a slice of the kept row, padded with zeros, or
         ``entry(n, k)`` for each k in ascending order.  A packed float row
-        gives a fresh float per cell."""
+        gives a fresh float per cell, a one-value row its one value."""
         if self._rows is None or n < 1 or start < 1:
             return [self.entry(n, k) for k in range(start, upto + 1)]
-        cells = self._built_row(n)[start - 1:upto]
-        if type(cells) is array:
-            cells = cells.tolist()
+        row = self._built_row(n)
+        if type(row) is tuple:
+            cells = [row[0]] * (min(upto, row[1]) - start + 1)
+        else:
+            cells = row[start - 1:upto]
+            if type(cells) is array:
+                cells = cells.tolist()
         missing = upto - start + 1 - len(cells)
         return cells + [self.zero()] * missing if missing > 0 else cells
 

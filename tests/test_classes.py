@@ -281,8 +281,9 @@ class TestConditions:
             assert v.aux["lower_growth_window_at"] is not None
 
     def test_subset_sum_scratch_is_packed(self):
-        # the float truncation C20 keeps, 513^2 cells, and the float rows of
-        # the matrix it builds: 6.7 MB traced when both were lists of floats
+        # the float truncation C20 keeps, the lower half of 513^2 cells, and
+        # the float rows of the matrix it builds: 6.7 MB traced when both
+        # were lists of floats, 3.5 MB with a square packed truncation
         F = riesz_matrix(parse_weight_spec("harmonic")[0]).as_float()
         tracemalloc.start()
         try:
@@ -290,7 +291,20 @@ class TestConditions:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5e6
+        assert peak <= 3.0e6
+
+    def test_subset_sum_scratch_keeps_the_lower_triangle(self):
+        # a strict triangle's C20 keeps columns 0..n of row n, and Cesàro's
+        # rows one value each: 12.95 MB traced with the square 1025^2
+        # scratch and rows kept as lists
+        F = cesaro_matrix().as_float()
+        tracemalloc.start()
+        try:
+            check_condition(ConditionId.C20, F, TruncationSchedule(sizes=(128, 256, 512, 1024)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
 
     def test_lower_bound_never_exceeds_the_upper(self):
         for matrix in (identity_matrix(), cesaro_matrix(), geometric_grid()):

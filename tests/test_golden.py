@@ -33,7 +33,12 @@ float l1 into c on ``riesz:1,3,2`` at 3,5,7,9; and three paths of the
 beta prerequisite: d-bv into cs on ``euler:1/3`` at 4,8,16, whose rows
 past 8 double their schedule, an exact composite (``euler:1/2`` from
 int-bv into the ``cesaro`` domain at 8,16,32), and a float d-bv composite
-under a non-constant u (``cesaro`` into the ``riesz:harmonic`` domain).
+under a non-constant u (``cesaro`` into the ``riesz:harmonic`` domain);
+and four checks that pin the lower-triangle subset-sum truncation of a
+strict triangle and its rows of one value: float bs into l1 on
+``cesaro`` (C21, C22), cs into l1 on ``euler:1/3`` (C23) and linf into l1
+on ``riesz:ones`` (C20), each at 128..1024, and exact linf into l1 on
+``difference``.
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

@@ -884,6 +884,11 @@ _PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_DEAD_BEEF))[0]
 _SPECIAL_CELLS = [-0.0, _PAYLOAD_NAN, math.inf, -math.inf, 5e-324, 1.0]
 
 
+def _copy(x):
+    """A new float object with the bits of ``x``."""
+    return struct.unpack("<d", struct.pack("<d", x))[0]
+
+
 class TestPackedFloatRows:
     """A float operator keeps each row as doubles; every read gives back the
     built cell bit for bit, as a fresh list."""
@@ -919,6 +924,57 @@ class TestPackedFloatRows:
         for n in (1, 7, 64):
             row = F.row(n, n)
             assert all(v is row[0] for v in row), n
+
+    @pytest.mark.parametrize("rows, one_value", [
+        # one object n times, as Cesàro builds its rows
+        (lambda cell, n: [cell] * n, lambda cell, n: cell != 0),
+        # n equal objects, as riesz:ones divides each cell; copies of a NaN
+        # are not equal, so their row is packed
+        (lambda cell, n: [_copy(cell) for _ in range(n)],
+         lambda cell, n: cell != 0 and (cell == cell or n == 1)),
+        # +0.0 == -0.0, so a row of zeros is packed, keeping each sign
+        (lambda cell, n: [_copy(cell) if k % 2 else 0.0 for k in range(n)],
+         lambda cell, n: False),
+    ], ids=["shared", "copies", "zero-first"])
+    @pytest.mark.parametrize("cell", _SPECIAL_CELLS + [1 / 3],
+                             ids=["-0.0", "nan", "inf", "-inf", "5e-324", "1.0", "1/3"])
+    def test_one_value_rows_give_back_every_built_bit(self, rows, one_value, cell):
+        built = {}
+
+        def build_row(n):
+            built[n] = rows(cell, n)
+            return built[n]
+
+        F = TriangleOperator(build_row=build_row, kind=TriangleKind.ROW_EVALUABLE,
+                             row_support=lambda n: n, exact=False)
+        for n in (1, 2, 5, 9):
+            for start, upto in ((1, n), (3, n), (2, n + 3), (n + 2, n + 4), (4, 2), (1, 0)):
+                got = F.row(n, upto, start)
+                assert type(got) is list and got is not F.row(n, upto, start)
+                padded = built[n] + [0.0] * max(0, upto - n)
+                assert _bits(got) == _bits(padded[start - 1:upto]), (n, start, upto)
+            got = [F.entry(n, k) for k in range(1, n + 3)]
+            assert _bits(got) == _bits(built[n] + [0.0, 0.0]), n
+            F.row(n, n).append(2.0)  # a fresh list: the kept row is untouched
+            assert _bits(F.row(n, n + 1)) == _bits(built[n] + [0.0]), n
+            assert (type(F._rows[n]) is tuple) == one_value(cell, n), n
+
+    @pytest.mark.parametrize("make, most", [(cesaro_matrix, 128 * 1024),
+                                            (lambda: riesz_matrix(ones()), 256 * 1024)],
+                             ids=["cesaro", "riesz:ones"])
+    def test_one_value_rows_are_kept_as_one_value(self, make, most):
+        # the same rows as lists kept 1.11 MB (Cesàro's one shared float) and
+        # 4.39 MB (riesz:ones' n equal floats)
+        tracemalloc.start()
+        try:
+            F = make().as_float()
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(1, 513):
+                F.row(n, n)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= most
 
     @pytest.mark.parametrize("make", [lambda: riesz_matrix(harmonic()),
                                       lambda: euler_matrix(Fraction(1, 3))],

@@ -16,16 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumkit import classes
-from sumkit.classes import (_exhaustive_rect, _greedy_rect, _row_signs, _signed_rows,
-                            _verdict, check_condition, reduce_source_d_bv,
-                            reduce_source_int_bv)
+from sumkit.classes import (_row_signs, _signed_rows, _verdict, check_condition,
+                            reduce_source_d_bv, reduce_source_int_bv)
 from sumkit.core import (ConditionVerdict, LazySequence, StatKind, TruncationSchedule,
                          Verdict, _growth_window, _to_float, column_scan,
-                         gray_subset_search, judge_trace)
+                         gray_subset_search, judge_trace, ones)
 from sumkit.duals import DualMatrixKind, dual_kernel_matrix
 from sumkit.minilang import parse_matrix_spec
 from sumkit.operators import (TriangleKind, TriangleOperator, WeightPair,
-                              classical_matrix)
+                              classical_matrix, riesz_matrix)
 
 ZERO = Fraction(0)
 
@@ -240,8 +239,33 @@ def _frozen_entry_sup(A, sched):
     return _verdict("C11", trace, StatKind.SUP, sched, witness=witness)
 
 
+def _frozen_exhaustive_rect(fb, depth):
+    """The former ``_exhaustive_rect``, on a square scratch."""
+    columns = [[fb[n][k] for n in range(1, depth + 1)] for k in range(1, depth + 1)]
+    best, cols, rows = gray_subset_search(columns, 0.0, _best_by_row_signs, _signed_rows)
+    return best, {"rows": rows or [], "cols": cols, "method": "exhaustive-12"}
+
+
+def _frozen_greedy_rect(fb, s):
+    """The former ``_greedy_rect``, on a square scratch: every row adds its
+    cell of each column."""
+    fb_rows = fb[1:s + 1]
+    rowsum = [0.0] * s
+    chosen = []
+    best = 0.0
+    for k in range(1, s + 1):
+        candidate = [r + row[k] for r, row in zip(rowsum, fb_rows)]
+        value = _row_signs(candidate)[0]
+        if value > best:
+            best = value
+            chosen.append(k)
+            rowsum = candidate
+    return best, {"rows": _signed_rows(rowsum)[:24], "cols": chosen[:24], "method": "greedy"}
+
+
 def _frozen_subset_sums(A, sched, difference):
-    """The former C20/C22/C23 body: one or two ``entry`` calls per new cell."""
+    """The former C20/C22/C23 body: one or two ``entry`` calls per new cell
+    of a square truncation."""
     if difference == 0:
         entry = A.entry
         label = "C20"
@@ -269,8 +293,8 @@ def _frozen_subset_sums(A, sched, difference):
                 fb[n][k] = _to_float(v)
         prev = s
         upper_trace.append((s, upper_acc))
-        exhaustive = _exhaustive_rect(fb, min(12, s))
-        greedy = _greedy_rect(fb, s)
+        exhaustive = _frozen_exhaustive_rect(fb, min(12, s))
+        greedy = _frozen_greedy_rect(fb, s)
         lower, witness = greedy if greedy[0] >= exhaustive[0] else exhaustive
         lower_vals.append(lower)
 
@@ -388,6 +412,14 @@ SWEEP_MATRICES = {
     "expr-full": lambda: parse_matrix_spec("expr:(k-n)/(n*k+1)", full=True).operator,
     "reduced-cesaro-float": MATRICES["reduced-cesaro-float"],
     "nonfinite-float": MATRICES["nonfinite-float"],
+    # strict triangles whose subset-sum scratch is ragged: rows of zeros
+    # and one or two nonzero cells, and rows of one value, built once
+    # (Cesàro) or divided cell by cell (riesz:ones, exact or float weights)
+    "identity": lambda: classical_matrix("identity"),
+    "difference": lambda: classical_matrix("difference"),
+    "cesaro-float": MATRICES["cesaro-float"],
+    "riesz:ones": lambda: riesz_matrix(ones()),
+    "riesz:ones-float": lambda: riesz_matrix(ones(exact=False)),
 }
 
 # sizes that do not double, so old rows gain columns of mixed counts and
