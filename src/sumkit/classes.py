@@ -156,6 +156,7 @@ def check_condition(cid, A: TriangleOperator, sched: TruncationSchedule, *,
 
 
 def _check_entry_sup(A, sched) -> ConditionVerdict:
+    # each row is read only to its support: a zero past it never beats best
     trace = []
     best = A.zero()
     witness = {"row": 1, "col": 1}
@@ -163,7 +164,7 @@ def _check_entry_sup(A, sched) -> ConditionVerdict:
     for s in sched.sizes:
         for n in range(1, s + 1):
             lo = prev + 1 if n <= prev else 1
-            for k, x in enumerate(A.row(n, s, lo), lo):
+            for k, x in enumerate(A.row(n, min(s, A.extent(n, s)), lo), lo):
                 v = abs(x)
                 if v > best:
                     best = v
@@ -598,9 +599,9 @@ def _beta_prerequisite(A: TriangleOperator, wp: WeightPair, space: SpaceName,
     settles past J (rows of upper matrices carry their mass well beyond the
     row index), so the schedule is extended by doublings until its last two
     sizes clear J — otherwise the accumulation phase reads as spurious
-    growth.  The beta statistic builds no kernel row past a finite support,
-    so extending the schedule past it costs only the walk of the
-    statistic's weight state.
+    growth.  The beta statistic keeps no kernel state past a finite
+    support, so extending the schedule past it costs only the reads of the
+    terms and weights there, one of each per index.
     """
     rows = min(row_limit, sched.max_size)
     statuses = {}

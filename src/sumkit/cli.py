@@ -478,11 +478,13 @@ def run(argv=None, out=None) -> int:
         }
         if args.command in _SCHEDULED_COMMANDS:
             doc["schedule"] = sched.to_dict()
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # the newline is written on its own: appending it would copy the report
+        text = json.dumps(doc, sort_keys=True, indent=2)
 
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
+                fh.write("\n")
         if getattr(args, "csv", None):
             root, ext = os.path.splitext(args.csv)
             for key, trace in result.traces.items():
@@ -502,6 +504,7 @@ def run(argv=None, out=None) -> int:
         return 1
 
     stream.write(text)
+    stream.write("\n")
     return exit_code
 
 

@@ -60,9 +60,12 @@ def dual_kernel_matrix(kind, a: LazySequence, wp: WeightPair) -> TriangleOperato
         integrated = kind is DualMatrixKind.ALPHA_INT_BV
 
         def build_row(n: int) -> list:
-            # d_k a_n for k < n, then a_n / (u_n w_n), in the entry formula's read order
-            cores = [wp.recip_uw_diff(k) * a.at(n) for k in range(1, n)]
-            cores.append(a.at(n) / uw_divisor(wp.u_at(n) * wp.w_at(n), n))
+            # d_k a_n for k < n, then a_n / (u_n w_n), in the entry formula's
+            # read order: d_1, a_n, d_2..d_{n-1}, u_n, w_n
+            d1 = [wp.recip_uw_diff(1)] if n > 1 else []
+            an = a.at(n)
+            cores = [d * an for d in d1] + [wp.recip_uw_diff(k) * an for k in range(2, n)]
+            cores.append(an / uw_divisor(wp.u_at(n) * wp.w_at(n), n))
             return [c / n for c in cores] if integrated else [c * n for c in cores]
     else:
         build_row = sequence_pairing_rows(a, wp, kind is DualMatrixKind.BETA_INT_BV,
@@ -179,14 +182,18 @@ def _beta_statistic(kind: DualMatrixKind, a: LazySequence, wp: WeightPair,
     """Running supremum of the absolute row sums of the beta kernel, with
     the first strictly largest row as witness.
 
-    The kept state of ``pairing_rows`` is first advanced row by row to the
-    largest size, so the coefficient and weight reads, and the first error,
-    are those of the full rows; what follows reads nothing.
+    Rows are summed up to ``last``, the support m of ``a`` or the largest
+    size N, whichever is smaller.  Past m no row is summed: there P_n = P_m
+    and lead_k = 0, so row n is row m with ``lead_m + d_m * 0`` at m
+    followed by ``d_k * 0`` terms, and its absolute sum is row m's or NaN,
+    neither of which raises the supremum.
 
-    Past the support m of ``a`` no row is summed: there P_n = P_m and
-    lead_k = 0, so row n is row m with ``lead_m + d_m * 0`` at m followed
-    by ``d_k * 0`` terms, and its absolute sum is row m's or NaN, neither
-    of which raises the supremum.
+    The kept state of ``pairing_rows`` (coefficients, lead terms and P) is
+    advanced row by row only to ``last``, or to row 2 if that is further,
+    as row 2's reads begin with d_1 before a_2.  Each row n past it then
+    makes just the reads row n would make: a_n, then the weight terms up
+    to div_n.  So the coefficient and weight reads, and the first error,
+    are those of the full rows to N, and what follows reads nothing.
 
     A float row is built and summed left to right.  An exact row sum comes
     from the identity, for cell (J, k < J) = lead_k + d_k (P_J - P_k),
@@ -204,9 +211,13 @@ def _beta_statistic(kind: DualMatrixKind, a: LazySequence, wp: WeightPair,
     integrated = kind is DualMatrixKind.BETA_INT_BV
     zero: Scalar = Fraction(0) if exact else 0.0
     rows = sequence_pairing_rows(a, wp, integrated, zero)
-    for n in range(1, sched.max_size + 1):
-        rows(n, build=False)
     last = sched.max_size if a.support is None else min(a.support, sched.max_size)
+    walked = min(max(last, 2), sched.max_size)
+    for n in range(1, walked + 1):
+        rows(n, build=False)
+    for n in range(walked + 1, sched.max_size + 1):
+        a.at(n)
+        wp.pairing_weights(integrated, 2 * n - 1)
     if exact:
         _, d = wp.pairing_weights(integrated, 2 * last - 1)
         rowsums = _exact_row_sums(rows.lead, rows.P, d, last)

@@ -326,8 +326,9 @@ def _bv_triangle(wp: WeightPair, integrated: bool) -> TriangleOperator:
     factor = _bv_factor(integrated, wp.exact)
 
     def build_row(n: int) -> list[Scalar]:
-        row = [factor(k) * wp.u_at(n) * wp.w_forward_diff(k) for k in range(1, n)]
-        row.append(factor(n) * wp.u_at(n) * wp.w_at(n))
+        u = wp.u_at(n)
+        row = [factor(k) * u * wp.w_forward_diff(k) for k in range(1, n)]
+        row.append(factor(n) * u * wp.w_at(n))
         return row
 
     def apply_special(x: LazySequence):

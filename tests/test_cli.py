@@ -368,6 +368,19 @@ class TestEnvelope:
                           "--n", "8", "--out", str(path))
         assert path.read_text() == text
 
+    def test_out_file_and_stdout_are_the_same_bytes(self, tmp_path):
+        # the report and its newline are written separately, to both
+        path = tmp_path / "report.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(sumkit.__file__).parents[1])}
+        fresh = subprocess.run(
+            [sys.executable, "-c", "from sumkit.cli import main; main()", "transform",
+             "--space", "d-bv", "--x", "power:-2", "--n", "40", "--out", str(path)],
+            capture_output=True, env=env, timeout=60)
+        assert fresh.returncode == 0 and fresh.stderr == b""
+        assert path.read_bytes() == fresh.stdout
+        assert fresh.stdout.endswith(b"}\n") and not fresh.stdout.endswith(b"\n\n")
+        assert fresh.stdout.count(b"\n") == len(fresh.stdout.splitlines())
+
     def test_exact_trace_csv_quotes_fractions(self, tmp_path):
         path = tmp_path / "trace.csv"
         run_cli("dual-check", "--space", "int-bv", "--kind", "beta",

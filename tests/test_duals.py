@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sumkit import duals
 from sumkit.core import (
     LazySequence,
     TruncationSchedule,
@@ -515,4 +516,67 @@ class TestExactRowSums:
                     for n in range(1, 97):
                         rows(n)
                 logs.append(log)
+            assert logs[0] == logs[1], name
+
+
+# ---------------------------------------------------------------------------
+# The beta statistic keeps no kernel state past a finite support
+# ---------------------------------------------------------------------------
+
+
+# supports 0, 1 and 2 as well: row 2's reads begin with d_1, before a_2
+_SHORT_SEQUENCES = {
+    "zeros": lambda: zeros(),
+    "e1": lambda: LazySequence.unit(1),
+    "finite 2,-3": lambda: LazySequence.from_terms([2, -3]),
+}
+
+
+def _route_logs(space, weights, make, mode):
+    """The reads of the statistic route and of the row route, in order."""
+    logs = []
+    for route in ("statistic", "rows"):
+        log = []
+        base, a = _EXACT_WEIGHTS[weights](), make()
+        if mode == "float":
+            base, a = base.as_float(), a.as_float()
+        a = _logged(a, "a", log)
+        wp = WeightPair(_logged(base.u, "u", log), _logged(base.w, "w", log))
+        if route == "statistic":
+            gamma_dual_check(space, a, wp, _SCHED_96)
+        else:
+            rows = sequence_pairing_rows(a, wp, space == "int-bv", a.zero())
+            for n in range(1, 97):
+                rows(n)
+        logs.append(log)
+    return logs
+
+
+class TestFiniteSupportWalk:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_kept_state_stops_at_the_support(self, monkeypatch, space, mode):
+        made = []
+        make_rows = duals.sequence_pairing_rows
+        monkeypatch.setattr(duals, "sequence_pairing_rows",
+                            lambda *args: made.append(make_rows(*args)) or made[-1])
+        a = LazySequence.from_terms([3, -1, Fraction(1, 2)], exact=mode == "exact")
+        wp = WP_HARM if mode == "exact" else WP_HARM.as_float()
+        v = gamma_dual_check(space, a, wp, TruncationSchedule(sizes=(16, 64, 256)))
+        [rows] = made
+        assert len(rows.P) == len(rows.lead) == 4
+        assert v.trace[-1][0] == 256
+
+    @pytest.mark.parametrize("weights", ["steps", "signs", "random"])
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_float_reads_are_the_row_paths(self, space, weights):
+        for name, make in {**_EXACT_SEQUENCES, **_SHORT_SEQUENCES}.items():
+            logs = _route_logs(space, weights, make, "float")
+            assert logs[0] == logs[1], name
+
+    @pytest.mark.parametrize("weights", ["steps", "signs", "random"])
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_short_supports_read_as_the_row_paths(self, space, weights):
+        for name, make in _SHORT_SEQUENCES.items():
+            logs = _route_logs(space, weights, make, "exact")
             assert logs[0] == logs[1], name

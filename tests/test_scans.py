@@ -239,6 +239,26 @@ def _frozen_entry_sup(A, sched):
     return _verdict("C11", trace, StatKind.SUP, sched, witness=witness)
 
 
+def _frozen_square_entry_sup(A, sched):
+    """The former row-wise C11 body: each row read to the size, past its
+    support too."""
+    trace = []
+    best = A.zero()
+    witness = {"row": 1, "col": 1}
+    prev = 0
+    for s in sched.sizes:
+        for n in range(1, s + 1):
+            lo = prev + 1 if n <= prev else 1
+            for k, x in enumerate(A.row(n, s, lo), lo):
+                v = abs(x)
+                if v > best:
+                    best = v
+                    witness = {"row": n, "col": k}
+        trace.append((s, best))
+        prev = s
+    return _verdict("C11", trace, StatKind.SUP, sched, witness=witness)
+
+
 def _frozen_exhaustive_rect(fb, depth):
     """The former ``_exhaustive_rect``, on a square scratch."""
     columns = [[fb[n][k] for n in range(1, depth + 1)] for k in range(1, depth + 1)]
@@ -647,3 +667,45 @@ def test_column_windows_alone_name_the_first_bad_row(cid, spec, cell, old_cell):
     sched = TruncationSchedule()
     assert _outcome(_check(cid), make(), sched)[1].endswith(cell)
     assert _outcome(_FROZEN_SWEEPS[cid], make(), sched)[1].endswith(old_cell)
+
+
+# -- C11 reads each row only to its support
+
+C11_MATRICES = {
+    "euler:1/2": lambda: classical_matrix("euler", Fraction(1, 2)),
+    "cesaro": lambda: classical_matrix("cesaro"),
+    "reduce-source-int-bv(euler:1/3)": lambda: reduce_source_int_bv(
+        classical_matrix("euler", Fraction(1, 3)), HARMONIC_WEIGHTS),
+}
+
+
+def _c11_matrix(name, mode):
+    A = C11_MATRICES[name]()
+    return A.as_float() if mode == "float" else A
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", list(C11_MATRICES))
+def test_entry_sup_matches_the_square_read_loop(name, mode):
+    for sched in (SCHED, SWEEP_SCHED):
+        got = _outcome(_check("C11"), _c11_matrix(name, mode), sched)
+        assert got == _outcome(_frozen_square_entry_sup, _c11_matrix(name, mode), sched)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", list(C11_MATRICES))
+def test_entry_sup_reads_no_cell_past_a_row_support(monkeypatch, name, mode):
+    A = _c11_matrix(name, mode)
+    reads = []
+    row = TriangleOperator.row
+    monkeypatch.setattr(TriangleOperator, "row",
+                        lambda self, n, upto, start=1:
+                        (self is A and reads.append((n, upto, start)))
+                        or row(self, n, upto, start))
+    check_condition("C11", A, SCHED)
+    assert reads
+    assert all(upto <= A.extent(n) for n, upto, _ in reads)
+    # every cell within a row's support is still read, once
+    cells = sorted((n, k) for n, upto, start in reads for k in range(start, upto + 1))
+    assert cells == [(n, k) for n in range(1, SCHED.max_size + 1)
+                     for k in range(1, min(A.extent(n), SCHED.max_size) + 1)]
