@@ -95,7 +95,8 @@ def reduce_source_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
 
 def reduce_target_int_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
     """Compose the integrated triangle on the target side (product T A);
-    see ``bv_triangle_product``: O(N^2) exact, the product's order in float."""
+    see ``bv_triangle_product``: one O(N^2) recurrence in both modes for a
+    strict A."""
     return bv_triangle_product(wp, A, integrated=True,
                                label=f"reduce-target-int-bv({A.label})")
 
@@ -643,11 +644,12 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
     specific recipe table instead of inferring one from the endpoints.
 
     A composite target composes its generator G with ``A`` (Taylor
-    generators need ``row_bound``, which no other target accepts) and
-    asks whether G A maps the domain source into linf, under the table out
-    of that source.  Every class then runs one sequence: the recipe, the
-    reduction, the battery and, out of a domain space, the beta
-    prerequisite on the rows of the (composed) matrix.
+    generators need ``row_bound``, which no other target accepts; a float
+    ``A`` meets the float rows of a strict G) and asks whether G A maps
+    the domain source into linf, under the table out of that source.
+    Every class then runs one sequence: the recipe, the reduction, the
+    battery and, out of a domain space, the beta prerequisite on the rows
+    of the (composed) matrix.
     """
     if sched is None:
         sched = TruncationSchedule()
@@ -672,6 +674,10 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
         if G.kind is TriangleKind.ROW_EVALUABLE and row_bound is None:
             raise UnsupportedRowError(
                 "this composite generator has infinite rows; pass an explicit row bound")
+        if not A.exact and G.kind is TriangleKind.STRICT_TRIANGLE:
+            # its float rows divide p / q once per entry: the bits the
+            # product would round each exact entry to
+            G = G.as_float()
         A = matrix_product(G, A, left_row_bound=row_bound, label=f"{G.label}*{A.label}")
         free = SpaceTag.LINF
         notes.append("composite target: generator composed on the target side, "

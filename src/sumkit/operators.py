@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional
 
 from .core import LazySequence, Scalar, as_fraction, checked_float, ones, running_sums
@@ -355,38 +356,43 @@ def bv_triangle_product(wp: WeightPair, A: TriangleOperator, *, integrated: bool
                         label: str) -> TriangleOperator:
     """T A for T the integrated (resp. differentiated) triangle of ``wp``.
 
-    Exact, with a strict ``A``, row n is u_n (S_{n-1} + f(n) w_n A_n) over
-    the rows A_j of A, f(n) = n resp. 1/n, and S_m the kept sum over j <= m
-    of f(j) (w_j - w_{j+1}) A_j: O(n) work per row, O(N^2) for N rows,
-    where the product takes O(N^3).  It reads T's row n first and skips
-    every A_j with T(n,j) = 0, as ``matrix_product`` does, so the same
-    weight or entry fails first.  In float mode, or when A is not a strict
-    triangle, it is ``matrix_product``, whose summation order the float
-    values keep; under a constant u each off-diagonal row of T repeats the
-    row before it, so the product resumes every row and N rows cost O(N^2)
-    there too.
+    With a strict ``A``, in both modes, row n is u_n (S_{n-1} + f(n) w_n A_n)
+    over the rows A_j of A, f(n) = n resp. 1/n, and S_m the kept sum over
+    j <= m of f(j) (w_j - w_{j+1}) A_j: O(n) work per row, O(N^2) for N
+    rows, where the product takes O(N^3).  Row n reads its weights first
+    (u_n, then w_k - w_{k+1} for k < n, then w_n), and a zero coefficient
+    skips its row of A, as ``matrix_product`` skips a zero T(n,j), so the
+    same weight or entry fails first.  A float row is u_n times the sum of
+    c_j A_j, where the product sums (u_n c_j) A_j: the same value up to
+    rounding, and bit for bit when u_n = 1.  A float u_n c_j that
+    underflows to zero makes the product skip A_j, which the recurrence
+    still reads.  Float kept sums are ``array('d')`` rows.  When A is not
+    a strict triangle, T A is ``matrix_product``.
     """
-    T = _bv_triangle(wp, integrated)
-    if not (wp.exact and A.exact) or A.kind is not TriangleKind.STRICT_TRIANGLE:
-        return matrix_product(T, A, label=label)
-    factor = _bv_factor(integrated, True)
-    S: list[list] = [[]]
+    if A.kind is not TriangleKind.STRICT_TRIANGLE:
+        return matrix_product(_bv_triangle(wp, integrated), A, label=label)
+    exact = wp.exact and A.exact
+    zero = Fraction(0) if exact else 0.0
+    factor = _bv_factor(integrated, exact)
+    S: list = [[]]
 
-    def add_row(s: list, c: Scalar, j: int) -> list:
+    def add_row(s, c: Scalar, j: int):
         # a kept sum is shorter than the row of A it meets: zeros pad it
-        return [a + c * v for a, v in zip(s + [Fraction(0)] * (j - len(s)), A.row(j, j))]
+        cells = [a + c * v for a, v in zip_longest(s, A.row(j, j), fillvalue=zero)]
+        return cells if exact else array("d", cells)
 
     def build_row(n: int) -> list[Scalar]:
-        T.row(n, n)  # the weights of row n, before any row of A
+        # the weights of row n before any row of A; those of the kept sums
+        # were read when the sums were
         u = wp.u_at(n)
-        while len(S) < n:
-            j = len(S)
-            c = factor(j) * wp.w_forward_diff(j)
-            S.append(S[-1] if c == 0 else add_row(S[-1], c, j))
-        return [u * v for v in add_row(S[n - 1], factor(n) * wp.w_at(n), n)]
+        coeffs = [factor(j) * wp.w_forward_diff(j) for j in range(len(S), n)]
+        d = factor(n) * wp.w_at(n)
+        for c in coeffs:
+            S.append(S[-1] if c == 0 else add_row(S[-1], c, len(S)))
+        return [u * v for v in (S[n - 1] if d == 0 else add_row(S[n - 1], d, n))]
 
     return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            exact=True, label=label)
+                            exact=exact, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -773,11 +779,6 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
     without either raises UnsupportedRowError at evaluation time.  With a
     strict ``R`` the product is built row by row, reading each row of ``L``
     and of ``R`` once; otherwise (``R`` with infinite rows) entry by entry.
-    A row-built product keeps the sums of its last row after all but that
-    row's last left term.  Row n + 1 starts from them when its left row
-    agrees with row n's there, and adds only its remaining terms: the same
-    additions in the same order, so the same values and the same first
-    error.  Any other row, and a row built out of order, sums every term.
     """
     exact = L.exact and R.exact
     left_strict = L.kind is TriangleKind.STRICT_TRIANGLE
@@ -805,8 +806,6 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
         # out a fresh float per cell, so its dense row is kept packed; an
         # exact or rule-based R hands out the values it keeps
         right_rows: dict[int, tuple[Optional[list], Optional[list]]] = {}
-        # (n, row n of L, acc after the first len - 1 terms of row n)
-        kept: list = [-1, [], []]
 
         def build_row(n: int) -> list[Scalar]:
             # acc[k-1] gathers L(n,j) R(j,k) over j >= k in ascending j, the
@@ -814,21 +813,10 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
             # once, as Fraction * float would on every term.  A term with
             # R(j,k) = 0 leaves acc[k-1] as it is (a float acc starts at +0.0
             # and never becomes -0.0), unless L(n,j) is not finite, when the
-            # term is NaN.  Row n starts from row n-1's kept acc when their
-            # first p left entries are equal: term j touches acc[:j] only, and
-            # equal L(n,j) over the same R rows add the same values in the same
-            # order, so every entry keeps its bits
+            # term is NaN
             J = L.extent(n, left_row_bound)
-            lrow = L.row(n, J)
-            kept_n, kept_row, kept_acc = kept
-            p = len(kept_row) - 1
-            if n == kept_n + 1 and lrow[:p] == kept_row[:p]:
-                acc = kept_acc[:p] + [zero] * (J - p)
-            else:
-                acc, p = [zero] * J, 0
-            for j, lv in enumerate(lrow[p:], p + 1):
-                if j == J:
-                    kept[:] = n, lrow, acc[:]
+            acc = [zero] * J
+            for j, lv in enumerate(L.row(n, J), 1):
                 if lv == 0:
                     continue
                 right = right_rows.get(j)

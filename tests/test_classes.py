@@ -4,13 +4,16 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumkit.core import LazySequence, SpaceTag, TruncationSchedule, Verdict, ones, zeros
+from sumkit import classes
+from sumkit.core import (LazySequence, SpaceTag, TruncationSchedule, Verdict, harmonic, ones,
+                         zeros)
 from sumkit.duals import DualMatrixKind, dual_kernel_matrix
-from sumkit.errors import UnsupportedClassError, UnsupportedRowError
+from sumkit.errors import InvalidWeightError, UnsupportedClassError, UnsupportedRowError
 from sumkit.classes import (
     ClassReport,
     CompositeTarget,
@@ -404,6 +407,29 @@ class TestCompositeTargets:
         assert rep.overall is Verdict.HOLDS
         assert any("truncated at 64" in note for note in rep.notes)
 
+    @pytest.mark.parametrize("target", [CompositeTarget("cesaro"),
+                                        CompositeTarget("euler", Fraction(1, 3)),
+                                        CompositeTarget("riesz", harmonic())],
+                             ids=["cesaro", "euler:1/3", "riesz:harmonic"])
+    def test_float_composite_rows_round_the_exact_generator(self, target, monkeypatch):
+        # a float A meets the float rows of a strict generator, and G A keeps
+        # the bits of the product of the exact generator with A
+        composed = []
+
+        def spy(G, A, **kwargs):
+            composed.append((G, matrix_product(G, A, **kwargs)))
+            return composed[-1][1]
+
+        monkeypatch.setattr(classes, "matrix_product", spy)
+        wp = WeightPair(harmonic(), ones()).as_float()
+        A = euler_matrix(Fraction(1, 2)).as_float()
+        characterize(A, "int-bv", target, wp, SMALL, beta_row_limit=4)
+        (G, got), = composed
+        assert not G.exact
+        want = matrix_product(target.generator(), euler_matrix(Fraction(1, 2)).as_float())
+        for n in range(1, 65):
+            assert repr(got.row(n, n)) == repr(want.row(n, n)), n
+
     def test_composite_needs_domain_source(self):
         with pytest.raises(UnsupportedClassError):
             characterize(identity_matrix(), "l1", CompositeTarget("cesaro"),
@@ -650,15 +676,67 @@ def random_triangle(rng, n, exact):
 TARGET_MATRICES = ["cesaro", "euler:1/3", "identity", "riesz:harmonic", *ILL_DEFINED]
 
 
+def frozen_float_target_row(A, wp, integrated, n):
+    """Row n of float T A by the recurrence, summed from scratch: u_n times
+    the sum over j <= n of c_j A_j in ascending j, c_j = f(j) (w_j - w_{j+1})
+    for j < n and f(n) w_n for j = n, a zero c_j skipping its row, and each
+    row of A meeting a sum that zeros pad to its length.  It reads u_n,
+    every c_j, then the rows of A.  The reference for the float rows of
+    ``reduce_target_*``."""
+    f = float if integrated else (lambda j: 1.0 / j)
+    u = wp.u_at(n)
+    coeffs = [f(j) * wp.w_forward_diff(j) for j in range(1, n)] + [f(n) * wp.w_at(n)]
+    acc: list = []
+    for j, c in enumerate(coeffs, 1):
+        if c != 0:
+            acc = [a + c * v for a, v in zip_longest(acc, A.row(j, j), fillvalue=0.0)]
+    return [u * v for v in acc]
+
+
+def product_skips_differ(wp, n, integrated):
+    """Whether row n of the float product T A and the recurrence skip
+    different rows of A: some u_n c_j underflows to zero where c_j does not
+    (or the reverse on the diagonal, where T(n,n) rounds f(n) u_n first)."""
+    f = float if integrated else (lambda j: 1.0 / j)
+    try:
+        T = (integrated_triangle if integrated else differentiated_triangle)(wp).row(n, n)
+        coeffs = [f(j) * wp.w_forward_diff(j) for j in range(1, n)] + [f(n) * wp.w_at(n)]
+    except InvalidWeightError:
+        return False
+    return any((t == 0) != (c == 0) for t, c in zip(T, coeffs))
+
+
+def magnitude_row(wp, A, n, integrated):
+    """Exact |u_n| times the sum over j <= n of |f(j)| (|w_j| + |w_{j+1}|)
+    |A_j| (|w_n| alone for j = n) over the j the exact product reads: what
+    the rounding of the float recurrence is relative to."""
+    f = (lambda j: j) if integrated else (lambda j: Fraction(1, j))
+    u = abs(wp.u_at(n))
+    acc = [Fraction(0)] * n
+    for j in range(1, n + 1):
+        if j < n:
+            if wp.w_forward_diff(j) == 0:
+                continue
+            m = f(j) * (abs(wp.w_at(j)) + abs(wp.w_at(j + 1)))
+        else:
+            m = f(n) * abs(wp.w_at(n))
+        acc[:j] = [a + m * abs(v) for a, v in zip(acc, A.row(j, j))]
+    return [u * a for a in acc]
+
+
 class TestTargetReductionOracle:
     @settings(max_examples=150, deadline=None)
     @given(reduction_inputs(), st.sampled_from(TARGET_MATRICES + ["random"]),
-           st.booleans(), st.integers(0, 2 ** 32))
-    def test_rows_and_errors_match_the_product(self, inputs, spec, integrated, seed):
-        # exact: the bv recurrence; float: the product itself, bit for bit
+           st.booleans(), st.integers(0, 2 ** 32), st.booleans())
+    def test_rows_and_errors_match_the_product(self, inputs, spec, integrated, seed, unit_u):
+        # exact, and float under u = ones: the product itself, bit for bit.
+        # Float under any u: a frozen float recurrence bit for bit, the
+        # product's errors, and the exact product's values within the bound
         exact, u, w, rows = inputs
+        if unit_u and not exact:
+            u = [Fraction(1)] * len(u)
 
-        def make():
+        def make(exact=exact):
             if spec == "random":
                 A = random_triangle(random.Random(seed), max(rows) + 1, exact)
             else:
@@ -669,7 +747,48 @@ class TestTargetReductionOracle:
                             else (reduce_target_d_bv, differentiated_triangle))
         got = reduce(*make())
         A, wp = make()
-        assert outcomes(got, rows) == outcomes(matrix_product(triangle(wp), A), rows)
+        if exact or unit_u:
+            assert outcomes(got, rows) == outcomes(matrix_product(triangle(wp), A), rows)
+            return
+        product = outcomes(matrix_product(triangle(wp), A), rows)
+        A, wp = make()
+        frozen = TriangleOperator(
+            build_row=lambda n: frozen_float_target_row(A, wp, integrated, n),
+            kind=TriangleKind.STRICT_TRIANGLE, exact=False)
+        got_outcomes = outcomes(got, rows)
+        assert got_outcomes == outcomes(frozen, rows)
+        A_exact, wp_exact = make(exact=True)
+        want = matrix_product(triangle(wp_exact), A_exact)
+        for mine, theirs in zip(got_outcomes, product):
+            n = mine[0]
+            if (len(mine) == 3 or len(theirs) == 3) and not product_skips_differ(wp, n,
+                                                                                 integrated):
+                assert mine == theirs
+            if len(mine) == 3:
+                continue
+            try:
+                exact_row = want.row(n, n)
+            except ZeroDivisionError:  # an ill-defined A_j the float row skipped
+                continue
+            bound = magnitude_row(wp_exact, A_exact, n, integrated)
+            for k, (g, e, m) in enumerate(zip(got.row(n, n), exact_row, bound), 1):
+                assert abs(g - float(e)) <= 2.0 ** -44 * m + 2.0 ** -1050, (n, k)
+
+    def test_float_underflow_reads_a_row_the_product_skips(self):
+        # u_3 = 2^-1074: u_3 c_1 = 2^-1075 and u_3 c_2 round to zero, so the
+        # float product reads only A_3; the recurrence sums c_1 A_1 + c_2 A_2
+        # before it scales by u_3, and row 2 of A is ill-defined
+        def make():
+            u = LazySequence.from_terms([1.0, 1.0, 2.0 ** -1074, 1.0], exact=False)
+            w = LazySequence.from_terms([1.0, 0.5, 1 / 3, 0.25], exact=False)
+            return make_matrix("expr:1/(n-2)", False), WeightPair(u, w)
+
+        A, wp = make()
+        assert integrated_triangle(wp).row(3, 3) == [0.0, 0.0, 5e-324]
+        assert matrix_product(integrated_triangle(wp), A).row(3, 3) == [5e-324] * 3
+        with pytest.raises(ZeroDivisionError, match="at n=2, k=1"):
+            reduce_target_int_bv(*make()).row(3, 3)
+        assert product_skips_differ(wp, 3, True)
 
     @pytest.mark.parametrize("integrated", [True, False])
     @pytest.mark.parametrize("zero_u, zero_w, spec", [

@@ -20,12 +20,12 @@ float ``reduction-check`` on ``euler:1/3`` under ``--u geometric:1/2``
 (n = 300) and exact on ``riesz:harmonic`` (n = 64); and a float alpha
 dual-check on ``power:-2`` whose row-subset cross-check differs in its
 last digit when the float sums are compensated (as the builtin ``sum`` is
-from CPython 3.12 on); and four float target reductions whose product
-rows carry nonzero off-diagonal terms: two under a non-constant u, whose
-left rows share no prefix (table 6 on ``cesaro`` and table 5 on
-``euler:1/2``), and two under u = ones, whose rows resume from the row
-before (``euler:1/2`` on the default schedule and ``cesaro`` on
-128,256,512,1024); and four checks that pin the column windows of C12,
+from CPython 3.12 on); and four float target reductions whose rows
+carry nonzero off-diagonal terms: two under a non-constant u, where the
+recurrence u_n (S_{n-1} + f(n) w_n A_n) rounds differently from the
+product (table 6 on ``cesaro`` and table 5 on ``euler:1/2``), and two
+under u = ones, where it keeps the product's bits (``euler:1/2`` on the
+default schedule and ``cesaro`` on 128,256,512,1024); and four checks that pin the column windows of C12,
 C15 and C16 and the float Riesz rows: exact l1 into cs on ``cesaro`` and
 float int-bv into c0 on ``euler:1/3``, both on the overlapping schedule
 4,6,8,12,16, float l1 into c0s on ``riesz:harmonic`` at 128..1024, and
@@ -38,7 +38,11 @@ and four checks that pin the lower-triangle subset-sum truncation of a
 strict triangle and its rows of one value: float bs into l1 on
 ``cesaro`` (C21, C22), cs into l1 on ``euler:1/3`` (C23) and linf into l1
 on ``riesz:ones`` (C20), each at 128..1024, and exact linf into l1 on
-``difference``.
+``difference``; and three float checks under u = ones that pin the target
+reduction's rows and a composite's float generator rows: linf into int-bv
+on ``cesaro`` at 128..1024, table 6 cs into d-bv on ``euler:1/3`` at
+64..512, and int-bv into the ``euler:1/2`` domain on ``cesaro`` at
+64..512.
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report

@@ -1278,8 +1278,8 @@ class TestRowBuiltProducts:
 
 
 def _frozen_product_row(L, R, n):
-    """Row n of the strict-right-factor product as built before rows resumed:
-    every left term of row n, in ascending j, from a zero accumulator."""
+    """Row n of the strict-right-factor product: every left term of row n,
+    in ascending j, from a zero accumulator."""
     exact = L.exact and R.exact
     acc = [Fraction(0) if exact else 0.0] * n
     for j, lv in enumerate(L.row(n, n), 1):
@@ -1331,8 +1331,9 @@ def _resume_cases(draw):
     left: list = []
     for n in range(1, size + 1):
         fresh = draw(st.lists(st.sampled_from(left_pool), min_size=n, max_size=n))
-        # how much of row n-1 row n repeats: all but its last entry (the
-        # prefix a resume needs), a shorter part, or none
+        # how much of row n-1 row n repeats: all but its last entry (as the
+        # off-diagonal rows of T do under a constant u), a shorter part, or
+        # none
         keep = draw(st.sampled_from([max(0, n - 2), draw(st.integers(0, max(0, n - 3))), 0]))
         left.append((left[-1][:keep] if left else []) + fresh[keep:])
     right = [draw(st.lists(st.sampled_from(right_pool), min_size=n, max_size=n))
@@ -1344,8 +1345,10 @@ def _resume_cases(draw):
 
 
 class TestProductResume:
-    """A product row resumes from the previous row's kept sums when the left
-    rows share their prefix; each row must keep the bits of the full sum."""
+    """Every product row is the full sum of its left terms, bit for bit,
+    whatever rows were built before it and whatever prefix their left rows
+    share; the product keeps no sums from one row to the next.  A bv
+    triangle product T A costs O(N^2) products for N rows under any u."""
 
     @settings(max_examples=200, deadline=None)
     @given(_resume_cases())
@@ -1364,7 +1367,10 @@ class TestProductResume:
                     pass  # the row is asked again after the error
             assert repr(got) == repr(_frozen_product_row(L0, R0, n)), n
 
-    def test_constant_u_rows_take_quadratic_work(self):
+    @staticmethod
+    def _target_products(wp, N):
+        """The products of a float T A over rows 1..N whose right factor is
+        a cell of A, for each of the two triangles."""
         class Counted(float):
             products = 0
 
@@ -1372,16 +1378,45 @@ class TestProductResume:
                 Counted.products += 1
                 return other * float(self)
 
-        N = 256
         # an entry rule keeps the Counted cells, which a row builder's packed
         # float rows would turn into plain floats
         A = TriangleOperator(lambda n, k: Counted(1.0 / (n + k)),
                              kind=TriangleKind.STRICT_TRIANGLE, exact=False)
+        counts = []
         for integrated in (True, False):
-            P = bv_triangle_product(WP_HARM.as_float(), A, integrated=integrated, label="T*A")
+            P = bv_triangle_product(wp, A, integrated=integrated, label="T*A")
             before = Counted.products
             for n in range(1, N + 1):
                 P.row(n, n)
-            # row n adds its last two left terms, 2n - 1 products: N^2 in
-            # all, where the full sums take N(N+1)(N+2)/6
-            assert Counted.products - before == N * N
+            counts.append(Counted.products - before)
+        return counts
+
+    def test_constant_u_rows_take_quadratic_work(self):
+        # the kept sums S_{n-1} add c_{n-1} A_{n-1}, n - 1 products, and row n
+        # adds f(n) w_n A_n, n products: N^2 in all, where the full sums take
+        # N(N+1)(N+2)/6
+        N = 256
+        assert self._target_products(WP_HARM.as_float(), N) == [N * N] * 2
+
+    def test_non_constant_u_rows_take_quadratic_work(self):
+        # the same N^2 under a u whose rows of T share no prefix
+        N = 256
+        wp = WeightPair(harmonic(), powers(-2)).as_float()
+        assert self._target_products(wp, N) == [N * N] * 2
+
+    def test_float_target_rows_keep_packed_sums(self):
+        # the kept sums and rows of float T A on cesaro are two packed lower
+        # triangles, 2.1 MB for rows 1..512, and the weights about 0.3 MB
+        # more (measured 2.43 MB); a product that also keeps T's rows and
+        # its packed right rows holds 3.65 MB
+        tracemalloc.start()
+        try:
+            P = bv_triangle_product(WP_HARM.as_float(), cesaro_matrix().as_float(),
+                                    integrated=True, label="T*A")
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(1, 513):
+                P.row(n, n)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2.8e6
