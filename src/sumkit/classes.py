@@ -25,8 +25,9 @@ from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceT
                    column_scan, combine_conjunctive, gray_subset_search, judge_trace)
 from .duals import beta_dual_check, pairing_rows
 from .errors import UnsupportedClassError, UnsupportedRowError
-from .operators import (TriangleKind, TriangleOperator, WeightPair, bv_triangle_product,
-                        classical_matrix, integrated_inverse, matrix_product)
+from .operators import (TriangleKind, TriangleOperator, WeightPair, classical_matrix,
+                        differentiated_triangle, integrated_inverse, integrated_triangle,
+                        matrix_product)
 from .spaces import SpaceName
 
 
@@ -93,18 +94,24 @@ def reduce_source_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
     return _reduce_source(A, wp, integrated=False)
 
 
+def _reduce_target(A: TriangleOperator, T: TriangleOperator, name: str) -> TriangleOperator:
+    """T A for the bv triangle T: ``MeanRows.product`` for a strict A in
+    either mode, ``matrix_product`` for infinite rows or an exact T and a float A."""
+    label = f"{name}({A.label})"
+    mean = T.mean_for(A.exact)
+    if mean is None or A.kind is not TriangleKind.STRICT_TRIANGLE:
+        return matrix_product(T, A, label=label)
+    return mean.product(A, T.exact and A.exact, label)
+
+
 def reduce_target_int_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
-    """Compose the integrated triangle on the target side (product T A);
-    see ``bv_triangle_product``: one O(N^2) recurrence in both modes for a
-    strict A."""
-    return bv_triangle_product(wp, A, integrated=True,
-                               label=f"reduce-target-int-bv({A.label})")
+    """Compose the integrated triangle on the target side (product T A)."""
+    return _reduce_target(A, integrated_triangle(wp), "reduce-target-int-bv")
 
 
 def reduce_target_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
     """Compose the differentiated triangle on the target side (product T A)."""
-    return bv_triangle_product(wp, A, integrated=False,
-                               label=f"reduce-target-d-bv({A.label})")
+    return _reduce_target(A, differentiated_triangle(wp), "reduce-target-d-bv")
 
 
 # ---------------------------------------------------------------------------

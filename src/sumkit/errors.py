@@ -19,10 +19,11 @@ class InvalidWeightError(SumkitError):
 
 
 class SingularTriangleError(SumkitError):
-    """Back-substitution hit a zero diagonal entry at ``row``, or (``row``
-    None) was asked of ``matrix``, which is not a strict triangle."""
+    """Back-substitution of ``matrix`` hit a zero diagonal entry at ``row``,
+    or (``row`` None) was asked of ``matrix``, which is not a strict
+    triangle."""
 
-    def __init__(self, row: Optional[int], matrix: str = "triangle"):
+    def __init__(self, row: Optional[int], matrix: str):
         self.row = row
         detail = ("inversion needs a strict triangle" if row is None
                   else f"zero diagonal entry at row {row}")

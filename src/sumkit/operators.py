@@ -128,6 +128,78 @@ class TriangleKind(Enum):
     ROW_EVALUABLE = "row-evaluable"
 
 
+class MeanRows(NamedTuple):
+    """Rows alpha_n (gamma_1, ..., gamma_{n-1}, beta_n) of a triangle T, each
+    coefficient a rule ``n -> scalar``; ``gamma`` None means gamma = beta, a
+    weighted mean.  With S_m = gamma_1 v_1 + ... + gamma_m v_m kept as it
+    grows, term n of ``apply`` is alpha_n (S_{n-1} + beta_n x_n) and row n
+    of ``product`` alpha_n (S_{n-1} + beta_n A_n); a weighted mean inverts
+    as x_n = (y_n / alpha_n - y_{n-1} / alpha_{n-1}) / beta_n.  Term n
+    reads alpha_n, the gamma_j not yet summed, then beta_n, and only then
+    any x_j or row of A, as the generic paths build row n of T before they
+    read x; the inverse reads alpha_i, then y_i, for i = 1..n ascending, as
+    back-substitution does.
+    """
+
+    alpha: Callable[[int], Scalar]
+    beta: Callable[[int], Scalar]
+    gamma: Optional[Callable[[int], Scalar]] = None
+
+    def _coefficients(self, summed: int, n: int) -> tuple:
+        """alpha_n, the gamma_j for summed <= j < n, and beta_n, in that order."""
+        alpha = self.alpha(n)
+        gammas = [(self.gamma or self.beta)(j) for j in range(summed, n)]
+        return alpha, gammas, self.beta(n)
+
+    def apply(self, x: LazySequence, exact: bool) -> Callable[[int], Scalar]:
+        S = [Fraction(0) if exact else 0.0]
+
+        def rule(n: int) -> Scalar:
+            alpha, gammas, beta = self._coefficients(len(S), n)
+            for c in gammas:
+                S.append(S[-1] + c * x.at(len(S)))
+            s = S[n - 1] + beta * x.at(n)
+            if self.gamma is None and len(S) == n:  # a weighted mean's S_n
+                S.append(s)
+            return alpha * s
+
+        return rule
+
+    def inverse(self, y: LazySequence, exact: bool) -> Callable[[int], Scalar]:
+        q = [Fraction(0) if exact else 0.0]  # q[i] = y_i / alpha_i
+
+        def rule(n: int) -> Scalar:
+            while len(q) <= n:
+                alpha = self.alpha(len(q))
+                q.append(y.at(len(q)) / alpha)
+            return (q[n] - q[n - 1]) / self.beta(n)
+
+        return rule
+
+    def product(self, A: "TriangleOperator", exact: bool, label: str) -> "TriangleOperator":
+        """T A for a strict ``A`` in O(N^2) for N rows; the kept sums are
+        ``array('d')`` rows in float mode, and a zero coefficient skips its
+        row of A.  A float row is alpha_n times the sum of c_j A_j, where
+        ``matrix_product`` sums (alpha_n c_j) A_j: the same value up to
+        rounding, and bit for bit when alpha_n = 1."""
+        zero = Fraction(0) if exact else 0.0
+        S: list = [[]]
+
+        def add_row(s, c: Scalar, j: int):
+            # a kept sum is shorter than the row of A it meets: zeros pad it
+            cells = [a + c * v for a, v in zip_longest(s, A.row(j, j), fillvalue=zero)]
+            return cells if exact else array("d", cells)
+
+        def build_row(n: int) -> list[Scalar]:
+            alpha, gammas, beta = self._coefficients(len(S), n)
+            for c in gammas:
+                S.append(S[-1] if c == 0 else add_row(S[-1], c, len(S)))
+            return [alpha * v for v in (S[n - 1] if beta == 0 else add_row(S[n - 1], beta, n))]
+
+        return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                                exact=exact, label=label)
+
+
 class TriangleOperator:
     """An infinite matrix given by a pure entry rule ``(n, k) -> scalar``
     or by a row builder ``n -> [entry(n, 1), ..., entry(n, m)]``.
@@ -149,16 +221,10 @@ class TriangleOperator:
 
     ``row(n, upto, start)`` is the one read of consecutive cells.
 
-    Two optional hooks give a faster route to the same exact values.
-    ``apply_special(x)`` receives the sequence of ``apply_triangle`` and
-    returns the rule ``n -> (A x)_n``; ``inverse_special(y)`` receives the
-    right-hand side of ``invert_triangle`` and returns the rule
-    ``n -> x_n`` of the solution of ``A x = y``.  A hook may return None,
-    and the generic path then runs.  The bv triangles apply by their
-    running sum in both modes; Riesz and Cesàro means apply and invert by
-    their recurrences, in exact mode only (an exact operator and an exact
-    sequence), so every float value keeps its entry-wise sum.  ``as_float``
-    drops both hooks.
+    ``mean`` declares the rows of a bv triangle or an exact Riesz or Cesàro
+    mean (``MeanRows``) for ``apply_triangle``, ``invert_triangle`` and the
+    target reductions; ``mean_for`` drops it where an exact operator meets
+    a float operand, and ``as_float`` drops it.
 
     The rational classical matrices (Riesz, Cesàro, Euler, identity,
     difference) give a ratio row builder ``(n, ratio) -> row``: each entry
@@ -170,13 +236,13 @@ class TriangleOperator:
     """
 
     __slots__ = ("_rule", "_build_row", "_ratio_row", "kind", "row_support", "exact",
-                 "label", "apply_special", "inverse_special", "_memo", "_rows")
+                 "label", "mean", "_memo", "_rows")
 
     def __init__(self, rule: Optional[Callable[[int, int], Scalar]] = None, *,
                  kind: TriangleKind,
                  row_support: Optional[Callable[[int], int]] = None,
                  exact: bool = True, label: str = "",
-                 apply_special=None, inverse_special=None,
+                 mean: Optional[MeanRows] = None,
                  build_row: Optional[Callable[[int], list]] = None,
                  ratio_row: Optional[Callable[[int, Ratio], list]] = None):
         if (rule, build_row, ratio_row).count(None) != 2:
@@ -194,8 +260,7 @@ class TriangleOperator:
         self.row_support = row_support
         self.exact = exact
         self.label = label
-        self.apply_special = apply_special
-        self.inverse_special = inverse_special
+        self.mean = mean
         self._memo: Optional[dict[tuple[int, int], Scalar]] = (
             {} if rule is not None else None)
         self._rows: Optional[dict[int, list]] = {} if build_row is not None else None
@@ -250,6 +315,10 @@ class TriangleOperator:
                 cells = cells.tolist()
         missing = upto - start + 1 - len(cells)
         return cells + [self.zero()] * missing if missing > 0 else cells
+
+    def mean_for(self, exact: bool) -> Optional[MeanRows]:
+        """``mean``, unless an exact operator meets a float operand."""
+        return self.mean if exact or not self.exact else None
 
     def extent(self, n: int, bound: Optional[int] = None) -> int:
         """The last column row ``n`` is read to: its declared support, else
@@ -314,17 +383,12 @@ def weighted_mean_triangle(wp: WeightPair) -> TriangleOperator:
                             exact=wp.exact, label="weighted-mean")
 
 
-def _bv_factor(integrated: bool, exact: bool) -> Callable[[int], Scalar]:
-    """n for the integrated triangle, 1/n for the differentiated one."""
-    if integrated:
-        return Fraction if exact else float
-    if exact:
-        return lambda n: Fraction(1, n)
-    return lambda n: 1.0 / n
-
-
 def _bv_triangle(wp: WeightPair, integrated: bool) -> TriangleOperator:
-    factor = _bv_factor(integrated, wp.exact)
+    # f(n) = n for the integrated triangle, 1/n for the differentiated one
+    if integrated:
+        factor = Fraction if wp.exact else float
+    else:
+        factor = (lambda n: Fraction(1, n)) if wp.exact else (lambda n: 1.0 / n)
 
     def build_row(n: int) -> list[Scalar]:
         u = wp.u_at(n)
@@ -332,15 +396,10 @@ def _bv_triangle(wp: WeightPair, integrated: bool) -> TriangleOperator:
         row.append(factor(n) * u * wp.w_at(n))
         return row
 
-    def apply_special(x: LazySequence):
-        # (T x)_n = u_n (S(n-1) + f(n) w_n x_n), S(m) the sum over j <= m of
-        # f(j) (w_j - w_{j+1}) x_j; term n reads u_n, the new S terms, w_n, x_n
-        zero = Fraction(0) if wp.exact else 0.0
-        S = running_sums(lambda j: factor(j) * wp.w_forward_diff(j) * x.at(j), zero)
-        return lambda n: wp.u_at(n) * (S(n - 1) + factor(n) * wp.w_at(n) * x.at(n))
-
+    mean = MeanRows(wp.u_at, lambda n: factor(n) * wp.w_at(n),
+                    lambda j: factor(j) * wp.w_forward_diff(j))
     return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            exact=wp.exact, apply_special=apply_special,
+                            exact=wp.exact, mean=mean,
                             label="integrated-bv" if integrated else "differentiated-bv")
 
 
@@ -352,49 +411,6 @@ def differentiated_triangle(wp: WeightPair) -> TriangleOperator:
     return _bv_triangle(wp, integrated=False)
 
 
-def bv_triangle_product(wp: WeightPair, A: TriangleOperator, *, integrated: bool,
-                        label: str) -> TriangleOperator:
-    """T A for T the integrated (resp. differentiated) triangle of ``wp``.
-
-    With a strict ``A``, in both modes, row n is u_n (S_{n-1} + f(n) w_n A_n)
-    over the rows A_j of A, f(n) = n resp. 1/n, and S_m the kept sum over
-    j <= m of f(j) (w_j - w_{j+1}) A_j: O(n) work per row, O(N^2) for N
-    rows, where the product takes O(N^3).  Row n reads its weights first
-    (u_n, then w_k - w_{k+1} for k < n, then w_n), and a zero coefficient
-    skips its row of A, as ``matrix_product`` skips a zero T(n,j), so the
-    same weight or entry fails first.  A float row is u_n times the sum of
-    c_j A_j, where the product sums (u_n c_j) A_j: the same value up to
-    rounding, and bit for bit when u_n = 1.  A float u_n c_j that
-    underflows to zero makes the product skip A_j, which the recurrence
-    still reads.  Float kept sums are ``array('d')`` rows.  When A is not
-    a strict triangle, T A is ``matrix_product``.
-    """
-    if A.kind is not TriangleKind.STRICT_TRIANGLE:
-        return matrix_product(_bv_triangle(wp, integrated), A, label=label)
-    exact = wp.exact and A.exact
-    zero = Fraction(0) if exact else 0.0
-    factor = _bv_factor(integrated, exact)
-    S: list = [[]]
-
-    def add_row(s, c: Scalar, j: int):
-        # a kept sum is shorter than the row of A it meets: zeros pad it
-        cells = [a + c * v for a, v in zip_longest(s, A.row(j, j), fillvalue=zero)]
-        return cells if exact else array("d", cells)
-
-    def build_row(n: int) -> list[Scalar]:
-        # the weights of row n before any row of A; those of the kept sums
-        # were read when the sums were
-        u = wp.u_at(n)
-        coeffs = [factor(j) * wp.w_forward_diff(j) for j in range(len(S), n)]
-        d = factor(n) * wp.w_at(n)
-        for c in coeffs:
-            S.append(S[-1] if c == 0 else add_row(S[-1], c, len(S)))
-        return [u * v for v in (S[n - 1] if d == 0 else add_row(S[n - 1], d, n))]
-
-    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            exact=exact, label=label)
-
-
 # ---------------------------------------------------------------------------
 # Application and inversion
 # ---------------------------------------------------------------------------
@@ -404,17 +420,16 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
                    row_bound: Optional[int] = None) -> LazySequence:
     """The matrix transform ``y = T x`` as a lazy sequence.
 
-    The operator's ``apply_special`` hook gives the rule when it has one
-    for ``x`` (the bv triangles; exact Riesz and Cesàro means).  Otherwise
-    term n sums row n entry by entry in ascending k: strict triangles sum
-    their finite rows; row-evaluable matrices use the declared row
-    support, falling back to ``row_bound`` when given, and raise
-    UnsupportedRowError otherwise.
+    An operator with a mean declaration for ``x`` (``mean_for``) applies by
+    its recurrence.  Otherwise term n sums row n entry by entry in
+    ascending k: strict triangles sum their finite rows; row-evaluable
+    matrices use the declared row support, falling back to ``row_bound``
+    when given, and raise UnsupportedRowError otherwise.
     """
     exact = T.exact and x.exact
-    special = T.apply_special(x) if T.apply_special is not None else None
-    if special is not None:
-        return LazySequence(special, exact=exact, label=f"{T.label}*{x.label}")
+    mean = T.mean_for(x.exact)
+    if mean is not None:
+        return LazySequence(mean.apply(x, exact), exact=exact, label=f"{T.label}*{x.label}")
 
     def rule(n: int) -> Scalar:
         total = Fraction(0) if exact else 0.0
@@ -428,17 +443,19 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
 def invert_triangle(T: TriangleOperator, y: LazySequence) -> LazySequence:
     """The solve of ``T x = y`` for a strict triangle, as a lazy sequence.
 
-    The operator's ``inverse_special`` hook gives the rule when it has one
-    for ``y`` (exact Riesz and Cesàro means).  Otherwise term n is found by
+    A weighted mean declared for ``y`` (exact Riesz and Cesàro means)
+    inverts by its recurrence.  Otherwise term n is found by
     back-substitution over rows 1..n in ascending order; that is the
-    defining oracle used to cross-check every closed form and every hook.
+    defining oracle used to cross-check every closed form and recurrence.
     """
+    name = T.label or "matrix"
     if T.kind is not TriangleKind.STRICT_TRIANGLE:
-        raise SingularTriangleError(None, T.label or "matrix")
+        raise SingularTriangleError(None, name)
     exact = T.exact and y.exact
-    special = T.inverse_special(y) if T.inverse_special is not None else None
-    if special is not None:
-        return LazySequence(special, exact=exact, label=f"{T.label}^-1*{y.label}")
+    mean = T.mean_for(y.exact)
+    if mean is not None and mean.gamma is None:
+        return LazySequence(mean.inverse(y, exact), exact=exact,
+                            label=f"{T.label}^-1*{y.label}")
     memo: dict[int, Scalar] = {}
 
     def ensure(n: int) -> None:
@@ -447,7 +464,7 @@ def invert_triangle(T: TriangleOperator, y: LazySequence) -> LazySequence:
                 continue
             diag = T.entry(i, i)
             if diag == 0:
-                raise SingularTriangleError(i)
+                raise SingularTriangleError(i, name)
             acc = y.at(i)
             for k, v in enumerate(T.row(i, i - 1), 1):
                 acc = acc - v * memo[k]
@@ -588,59 +605,11 @@ def euler_matrix(r) -> TriangleOperator:
                             label=f"euler:{r}")
 
 
-def _weighted_mean(ratio_row: Callable[[int, Ratio], list], total: Callable[[int], Scalar],
-                   weight: Callable[[int], Scalar], label: str) -> TriangleOperator:
-    """The exact strict triangle with row n = (t_1, ..., t_n) / T_n, built
-    by ``ratio_row``, where t_k = ``weight(k)`` and T_n = ``total(n)``, the
-    call that checks t_1..t_n.  Its hooks, for an exact sequence only, are
-    the O(1)-per-term recurrences of the mean:
-
-    * apply: (A x)_n = S_n / T_n, with S_n = S_{n-1} + t_n x_n;
-    * inverse: x_n = (T_n y_n - T_{n-1} y_{n-1}) / t_n.
-
-    Both read what the generic paths read, in the same order: term n of
-    the transform reads T_n, then x_1..x_n; the inverse walks 1..n in
-    ascending order, each step reading T_i, then y_i, as back-substitution
-    does.  Exact values do not depend on the summation order, so the
-    results are equal.
-    """
-
-    def apply_special(x: LazySequence):
-        if not x.exact:
-            return None
-        S = running_sums(lambda j: weight(j) * x.at(j), Fraction(0))
-
-        def rule(n: int) -> Scalar:
-            tot = total(n)  # checks t_1..t_n before S reads any x
-            return S(n) / tot
-
-        return rule
-
-    def inverse_special(y: LazySequence):
-        if not y.exact:
-            return None
-        ty = [Fraction(0)]  # ty[i] = T_i y_i
-
-        def rule(n: int) -> Scalar:
-            while len(ty) <= n:
-                i = len(ty)
-                tot = total(i)  # checks t_i before y_i is read
-                ty.append(tot * y.at(i))
-            return (ty[n] - ty[n - 1]) / weight(n)
-
-        return rule
-
-    return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            label=label, apply_special=apply_special,
-                            inverse_special=inverse_special)
-
-
 def riesz_matrix(t: LazySequence) -> TriangleOperator:
     """Riesz (weighted-mean) matrix entry(n,k) = t_k / (t_1 + ... + t_n).
 
-    Over exact t_k it applies and inverts by the recurrences of
-    ``_weighted_mean``; a float operator (float weights, or ``as_float``)
-    has no hooks and sums entry by entry.
+    Over exact t_k it declares its rows (alpha_n = 1/T_n, beta = t); a
+    float operator (float weights, or ``as_float``) sums entry by entry.
 
     Requires strictly positive t_k; checked lazily on access.  Row n takes
     the total T_n = A/B first, which checks t_1..t_n in order.  Over exact
@@ -674,20 +643,20 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
         num, den = tot.numerator, tot.denominator
         return [ratio(a * den, b * num) for a, b in zip(nums[:n], dens[:n])]
 
-    label = f"riesz:{t.label or 't'}"
-    if t.exact:
-        return _weighted_mean(ratio_row, total, t.at, label)
+    # alpha_n checks t_1..t_n before a recurrence reads any term
+    mean = MeanRows(lambda n: 1 / total(n), t.at) if t.exact else None
     return TriangleOperator(ratio_row=ratio_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            exact=False, label=label)
+                            exact=t.exact, label=f"riesz:{t.label or 't'}", mean=mean)
 
 
 def cesaro_matrix() -> TriangleOperator:
     """The Riesz matrix of t = ones: row n is n copies of 1/n, read from
     no weight sequence.  Exact, it applies as S_n / n and inverts as
-    x_n = n y_n - (n-1) y_{n-1} (``_weighted_mean``); ``as_float`` sums
-    entry by entry."""
-    return _weighted_mean(lambda n, ratio: [ratio(1, n)] * n, lambda n: n, lambda n: 1,
-                          "cesaro")
+    x_n = n y_n - (n-1) y_{n-1} (``MeanRows``); ``as_float`` sums entry by
+    entry."""
+    return TriangleOperator(ratio_row=lambda n, ratio: [ratio(1, n)] * n,
+                            kind=TriangleKind.STRICT_TRIANGLE, label="cesaro",
+                            mean=MeanRows(lambda n: Fraction(1, n), lambda n: 1))
 
 
 def taylor_matrix(r) -> TriangleOperator:

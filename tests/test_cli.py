@@ -473,6 +473,10 @@ class TestErrorsAndVersion:
         # back-substitution names the matrix it cannot invert
         (("inverse", "--matrix", "taylor:1/2", "--y", "ones"),
          "cannot invert taylor:1/2: inversion needs a strict triangle"),
+        (("inverse", "--matrix", "expr:n-3", "--y", "ones"),
+         "cannot invert expr:n-3: zero diagonal entry at row 3"),
+        (("inverse", "--mode", "float", "--matrix", "expr:n-3", "--y", "ones"),
+         "cannot invert expr:n-3: zero diagonal entry at row 3"),
         (("class-check", "--source", "l1", "--target", "foo", "--matrix", "cesaro"),
          "unknown target space 'foo'"),
         # a float product u_k w_k that underflows names k

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumkit.classes import reduce_target_d_bv, reduce_target_int_bv
 from sumkit.core import LazySequence, harmonic, ones, powers
 from sumkit.duals import DualMatrixKind, dual_kernel_matrix
 from sumkit.errors import (
@@ -25,7 +26,6 @@ from sumkit.operators import (
     basis_column,
     basis_column_tabulated,
     basis_tabulated_discrepancies,
-    bv_triangle_product,
     cesaro_matrix,
     classical_matrix,
     difference_matrix,
@@ -203,7 +203,7 @@ class TestApply:
         wp = random_weight_pair(rng)
         x = random_sequence(rng, 50)
         special = integrated_triangle(wp)
-        assert special.apply_special is not None
+        assert special.mean is not None
         generic = TriangleOperator(special.entry, kind=TriangleKind.STRICT_TRIANGLE)
         lhs = apply_triangle(special, x)
         rhs = apply_triangle(generic, x)
@@ -1001,18 +1001,18 @@ def _weighted_mean(spec):
 
 
 def _hookless(M):
-    """The same matrix with no hooks: apply and invert take the generic
-    entry-wise sum and back-substitution."""
+    """The same matrix with no mean declaration: apply and invert take the
+    generic entry-wise sum and back-substitution."""
     return TriangleOperator(M.entry, kind=TriangleKind.STRICT_TRIANGLE, exact=M.exact)
 
 
-def _logged(log, name, rule):
+def _logged(log, name, rule, exact=True):
     """A sequence that logs (name, k) at the first read of each term."""
     def logged_rule(k):
         log.append((name, k))
         return rule(k)
 
-    return LazySequence(logged_rule, label=name)
+    return LazySequence(logged_rule, exact=exact, label=name)
 
 
 _MEANS = ["harmonic", "power:-2", "geometric:1/2", "1,2,3", "ones", "cesaro"]
@@ -1020,15 +1020,16 @@ _ORDERS = {"ascending": list(range(1, 129)), "97 first": [97, *range(1, 129)]}
 
 
 class TestWeightedMeanRecurrences:
-    """Exact Riesz and Cesàro means apply and invert by O(1)-per-term
-    recurrences; each must equal the generic entry-wise path exactly, read
-    the weights and the sequence in the same order, and stay off float."""
+    """Exact Riesz and Cesàro means apply and invert, and the bv triangles
+    apply, by O(1)-per-term recurrences; each must equal the generic
+    entry-wise path exactly, read the weights and the sequence in the same
+    order, and stay off a float sequence met by an exact operator."""
 
     @pytest.mark.parametrize("order", sorted(_ORDERS))
     @pytest.mark.parametrize("spec", _MEANS)
     def test_apply_equals_the_entrywise_sum(self, spec, order):
         M = _weighted_mean(spec)
-        assert M.apply_special is not None
+        assert M.mean is not None
         for x in (harmonic(), random_sequence(random.Random(7), 100),
                   parse_sequence_spec("alternating")[0]):
             got = apply_triangle(M, x)
@@ -1040,7 +1041,7 @@ class TestWeightedMeanRecurrences:
     @pytest.mark.parametrize("spec", _MEANS)
     def test_inverse_equals_back_substitution(self, spec, order):
         M = _weighted_mean(spec)
-        assert M.inverse_special is not None
+        assert M.mean is not None and M.mean.gamma is None
         for y in (harmonic(), random_sequence(random.Random(8), 100),
                   parse_sequence_spec("1,2,3")[0]):
             got = invert_triangle(M, y)
@@ -1089,9 +1090,9 @@ class TestWeightedMeanRecurrences:
     @pytest.mark.parametrize("spec", ["harmonic", "cesaro"])
     def test_float_operators_have_no_hooks(self, spec):
         F = _weighted_mean(spec).as_float()
-        assert F.apply_special is None and F.inverse_special is None
+        assert F.mean is None
         R = riesz_matrix(harmonic(exact=False))
-        assert R.apply_special is None and R.inverse_special is None
+        assert R.mean is None
 
     # values the entry-wise paths gave before the recurrences existed
     FLOAT_VALUES = {
@@ -1107,7 +1108,7 @@ class TestWeightedMeanRecurrences:
     @pytest.mark.parametrize("matrix, direction", sorted(FLOAT_VALUES, key=str))
     def test_an_exact_mean_on_a_float_sequence_keeps_its_float_values(self, matrix,
                                                                       direction):
-        # the hooks decline a float sequence, so the entry-wise sums run
+        # an exact mean meeting a float sequence takes the entry-wise sums
         if matrix == "riesz":
             M, seq = riesz_matrix(harmonic()), powers(-2, exact=False)
         else:
@@ -1117,6 +1118,47 @@ class TestWeightedMeanRecurrences:
         assert [repr(got.at(n)) for n in (1, 2, 3, 10, 40)] == self.FLOAT_VALUES[
             matrix, direction]
         assert list(map(repr, got.prefix(64))) == list(map(repr, want.prefix(64)))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("triangle", [integrated_triangle, differentiated_triangle])
+    def test_bv_weights_and_terms_are_read_in_the_generic_order(self, triangle, exact):
+        # term n reads u_n, then the w_j its new coefficients need, then w_n,
+        # and only then x_j: asked first at 9, u_9, w_1..w_9, x_1, ..., x_9
+        order = [9, *range(1, 13)]
+        num = Fraction if exact else float
+        runs = []
+        for declared in (True, False):
+            log = []
+            wp = WeightPair(_logged(log, "u", lambda k: num(k % 3 + 1) / k, exact),
+                            _logged(log, "w", lambda k: num(1) / (k * k + k % 2), exact))
+            T = triangle(wp)
+            assert T.mean is not None
+            x = _logged(log, "x", lambda k: num(-1) ** k / (k + 2), exact)
+            values = apply_triangle(T if declared else _hookless(T), x)
+            got = [values.at(n) for n in order]
+            runs.append((log, got if exact else None))
+        assert runs[0] == runs[1]
+        assert runs[0][0][:11] == [("u", 9), *[("w", j) for j in range(1, 10)], ("x", 1)]
+
+    @pytest.mark.parametrize("triangle", [integrated_triangle, differentiated_triangle])
+    def test_an_exact_bv_triangle_on_a_float_sequence_keeps_its_float_values(self, triangle):
+        # the declaration is not used: the entry-wise sums round differently
+        T = triangle(WeightPair(harmonic(), powers(-2)))
+        x = harmonic(exact=False)
+        got = apply_triangle(T, x).prefix(40)
+        want = apply_triangle(_hookless(T), x).prefix(40)
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("triangle", [integrated_triangle, differentiated_triangle])
+    def test_the_product_oracle_does_not_read_the_declaration(self, triangle):
+        # under a non-constant u the recurrence rounds differently from the
+        # product, so a product routed through it would fail here
+        T = triangle(WeightPair(harmonic(), powers(-2)).as_float())
+        A = euler_matrix(Fraction(1, 3)).as_float()
+        got = matrix_product(T, A)
+        want = matrix_product(_hookless(T), A)
+        for n in range(1, 65):
+            assert list(map(repr, got.row(n, n))) == list(map(repr, want.row(n, n))), n
 
 
 class TestEulerInverse:
@@ -1383,8 +1425,8 @@ class TestProductResume:
         A = TriangleOperator(lambda n, k: Counted(1.0 / (n + k)),
                              kind=TriangleKind.STRICT_TRIANGLE, exact=False)
         counts = []
-        for integrated in (True, False):
-            P = bv_triangle_product(wp, A, integrated=integrated, label="T*A")
+        for reduce in (reduce_target_int_bv, reduce_target_d_bv):
+            P = reduce(A, wp)
             before = Counted.products
             for n in range(1, N + 1):
                 P.row(n, n)
@@ -1411,8 +1453,7 @@ class TestProductResume:
         # its packed right rows holds 3.65 MB
         tracemalloc.start()
         try:
-            P = bv_triangle_product(WP_HARM.as_float(), cesaro_matrix().as_float(),
-                                    integrated=True, label="T*A")
+            P = reduce_target_int_bv(cesaro_matrix().as_float(), WP_HARM.as_float())
             before = tracemalloc.get_traced_memory()[0]
             for n in range(1, 513):
                 P.row(n, n)
