@@ -9,8 +9,8 @@ table-driven matrix-class checker with truncation-certified verdicts.
 from .core import (DEFAULT_SIZES, ConditionVerdict, LazySequence, Scalar,
                    SpaceTag, StatKind, TruncationSchedule, Verdict,
                    alternating, as_fraction, combine_conjunctive, geometric,
-                   harmonic, judge_trace, ones, partial_sum, powers,
-                   scalar_to_json, space_evidence, zeros)
+                   harmonic, judge_trace, ones, powers, scalar_to_json,
+                   space_evidence, zeros)
 from .errors import (InvalidWeightError, ScheduleError, SingularTriangleError,
                      SpecParseError, SumkitError, UnsupportedClassError,
                      UnsupportedRowError, UnsupportedSpaceError)
@@ -21,10 +21,9 @@ from .operators import (TriangleKind, TriangleOperator, WeightPair,
                         differentiated_inverse, differentiated_triangle,
                         euler_matrix, identity_matrix, integrated_inverse,
                         integrated_triangle, invert_triangle, matrix_product,
-                        riesz_matrix, taylor_matrix, taylor_row_tail,
-                        weighted_mean_triangle)
+                        riesz_matrix, taylor_matrix)
 from .spaces import (DomainSpace, SpaceName, ak_tail_norm, domain_norm,
-                     domain_space, embed_from_l1, membership_evidence)
+                     domain_space, embed_from_l1)
 from .duals import (CORRECTION_NOTES, DualMatrixKind, alpha_dual_check,
                     beta_dual_check, dual_kernel_matrix, gamma_dual_check,
                     pairing_identity_check, pairing_identity_sides)
@@ -44,7 +43,7 @@ __all__ = [
     "DEFAULT_SIZES", "ConditionVerdict", "LazySequence", "Scalar", "SpaceTag",
     "StatKind", "TruncationSchedule", "Verdict", "alternating", "as_fraction",
     "combine_conjunctive", "geometric", "harmonic", "judge_trace", "ones",
-    "partial_sum", "powers", "scalar_to_json", "space_evidence", "zeros",
+    "powers", "scalar_to_json", "space_evidence", "zeros",
     "InvalidWeightError", "ScheduleError", "SingularTriangleError",
     "SpecParseError", "SumkitError", "UnsupportedClassError",
     "UnsupportedRowError", "UnsupportedSpaceError",
@@ -53,10 +52,9 @@ __all__ = [
     "classical_matrix", "difference_matrix", "differentiated_inverse",
     "differentiated_triangle", "euler_matrix", "identity_matrix",
     "integrated_inverse", "integrated_triangle", "invert_triangle",
-    "matrix_product", "riesz_matrix", "taylor_matrix", "taylor_row_tail",
-    "weighted_mean_triangle",
+    "matrix_product", "riesz_matrix", "taylor_matrix",
     "DomainSpace", "SpaceName", "ak_tail_norm", "domain_norm", "domain_space",
-    "embed_from_l1", "membership_evidence",
+    "embed_from_l1",
     "CORRECTION_NOTES", "DualMatrixKind", "alpha_dual_check",
     "beta_dual_check", "dual_kernel_matrix", "gamma_dual_check",
     "pairing_identity_check", "pairing_identity_sides",

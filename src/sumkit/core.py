@@ -144,17 +144,6 @@ class LazySequence:
 
     # -- combinators ---------------------------------------------------
 
-    def scaled(self, c: Scalar) -> "LazySequence":
-        exact = self.exact and not isinstance(c, float)
-        return LazySequence(lambda k: c * self.at(k), support=self.support, exact=exact)
-
-    def plus(self, other: "LazySequence") -> "LazySequence":
-        support = None
-        if self.support is not None and other.support is not None:
-            support = max(self.support, other.support)
-        return LazySequence(lambda k: self.at(k) + other.at(k), support=support,
-                            exact=self.exact and other.exact)
-
     def zeroed_prefix(self, m: int) -> "LazySequence":
         """The sequence with its first ``m`` terms replaced by zero."""
         zero = self.zero()
@@ -253,16 +242,6 @@ def gray_subset_search(vectors: list[list], zero, score: Callable[[list], Scalar
                 best_witness = witness(acc)
     chosen = [j + 1 for j in range(len(vectors)) if best_mask >> j & 1]
     return best, chosen, best_witness
-
-
-def partial_sum(x: LazySequence, n: int) -> Scalar:
-    """Sum of the first ``n`` terms (n >= 0); empty sum is the mode's zero."""
-    if n < 0:
-        raise ValueError("partial sums need n >= 0")
-    total = x.zero()
-    for k in range(1, n + 1):
-        total += x.at(k)
-    return total
 
 
 # ---------------------------------------------------------------------------

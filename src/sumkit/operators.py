@@ -363,24 +363,9 @@ class TriangleOperator:
                                 exact=False, label=label)
 
 
-def truncation(T: TriangleOperator, n: int) -> list[list[Scalar]]:
-    """Dense n-by-n leading block of ``T``."""
-    return [T.row(i, n) for i in range(1, n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Derived triangles
 # ---------------------------------------------------------------------------
-
-
-def weighted_mean_triangle(wp: WeightPair) -> TriangleOperator:
-    """Entries u_n * w_k for k <= n; the plain generalized weighted mean."""
-
-    def build_row(n: int) -> list[Scalar]:
-        return [wp.u_at(n) * wp.w_at(k) for k in range(1, n + 1)]
-
-    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
-                            exact=wp.exact, label="weighted-mean")
 
 
 def _bv_triangle(wp: WeightPair, integrated: bool) -> TriangleOperator:
@@ -569,12 +554,6 @@ def basis_tabulated_discrepancies(space: str, wp: WeightPair, k: int, n_max: int
 # ---------------------------------------------------------------------------
 
 
-def euler_entry(r, n: int, k: int) -> Scalar:
-    """Entry (n, k <= n) of the Euler matrix of order r:
-    C(n-1, k-1) (1-r)^(n-k) r^(k-1)."""
-    return math.comb(n - 1, k - 1) * (1 - r) ** (n - k) * r ** (k - 1)
-
-
 def euler_matrix(r) -> TriangleOperator:
     """Euler means of order r, 0 < r < 1; rows sum to 1 exactly.
 
@@ -673,19 +652,6 @@ def taylor_matrix(r) -> TriangleOperator:
         return math.comb(k - 1, n - 1) * one_minus ** n * r ** (k - n)
 
     return TriangleOperator(rule, kind=TriangleKind.ROW_EVALUABLE, label=f"taylor:{r}")
-
-
-def taylor_row_tail(r, n: int, j_max: int) -> Scalar:
-    """Exact mass of row ``n`` of the Taylor matrix beyond column ``j_max``.
-
-    Every Taylor row sums to 1, so the remainder is 1 minus the partial row
-    sum; it certifies any truncation of the geometric row.
-    """
-    T = taylor_matrix(r)
-    partial = T.zero()
-    for v in T.row(n, j_max, n):
-        partial += v
-    return 1 - partial
 
 
 def difference_matrix() -> TriangleOperator:

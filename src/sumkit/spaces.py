@@ -1,4 +1,4 @@
-"""The two matrix-domain spaces over l1 and their norm/membership tooling.
+"""The two matrix-domain spaces over l1 and their norms.
 
 Both spaces are absolutely-summable domains of a strict triangle built
 from a weight pair: ``int-bv`` uses the integrated triangle, ``d-bv`` the
@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag,
-                   TruncationSchedule, space_evidence)
+from .core import LazySequence, Scalar, space_evidence
 from .errors import UnsupportedSpaceError
 from .operators import (TriangleOperator, WeightPair, apply_triangle,
                         differentiated_inverse, differentiated_triangle,
@@ -32,7 +31,6 @@ class DomainSpace:
     name: SpaceName
     weights: WeightPair
     triangle: TriangleOperator
-    base: SpaceTag = SpaceTag.L1
 
 
 # each space's defining triangle and its closed-form inverse
@@ -54,15 +52,6 @@ def domain_norm(space: DomainSpace, x: LazySequence, n: int) -> Scalar:
     for m in range(1, n + 1):
         total += abs(y.at(m))
     return total
-
-
-def membership_evidence(space: DomainSpace, x: LazySequence,
-                        sched: TruncationSchedule) -> ConditionVerdict:
-    """l1 evidence for the transformed sequence T x."""
-    y = apply_triangle(space.triangle, x)
-    verdict = space_evidence(y, SpaceTag.L1, sched)
-    verdict.aux["domain"] = space.name.value
-    return verdict
 
 
 def embed_from_l1(space: DomainSpace, y: LazySequence) -> LazySequence:

@@ -12,7 +12,9 @@ place.  With COMMANDs (one argv string each, e.g.
 recorded: a command keyed in either section is re-recorded where it is, any
 other is added to the ``extra`` section, and every other digest is left as
 it is.  Record on the commit whose reports the digests should pin, before
-changing any source.
+changing any source.  Every command runs from the repository root, so a
+relative ``csv:`` path (which the report prints) means the same file
+wherever the script or the test suite is started.
 
 ``--check`` writes nothing: it runs every keyed command again, prints each
 one whose exit code or digest differs from the file, and exits 1 if any
@@ -22,6 +24,7 @@ package supports.
 
 import hashlib
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -29,10 +32,16 @@ from pathlib import Path
 from conftest import run_cli
 
 PATH = Path(__file__).parent / "golden_reports.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def record(command: str) -> dict:
-    code, text = run_cli(*shlex.split(command))
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        code, text = run_cli(*shlex.split(command))
+    finally:
+        os.chdir(cwd)
     return {"exit_code": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 

@@ -6,6 +6,7 @@ serialisation exactly as a shell user would see them.
 """
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -252,6 +253,21 @@ class TestClassCheck:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert [float(v) for v in rows[1]] == [0.25, 0.5, 0.0, 0.0]
+
+    def test_written_csv_files_keep_their_bytes(self, tmp_path):
+        # the golden digests pin stdout only; these pin the files beside it
+        code, _ = run_cli("class-check", "--mode", "float", "--source", "l1",
+                          "--target", "cs", "--matrix", "expr:1/(n*k)",
+                          "--schedule", "4,8,16", "--csv", str(tmp_path / "trace.csv"),
+                          "--matrix-csv", str(tmp_path / "matrix.csv"))
+        assert code == 3
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == {
+            "matrix.csv": "b59df4b49ce533dc9c004535216d6d681dbdf89af1255777975c2dd748b68e56",
+            "trace-C14.csv": "e510bff4629a2048f41e871211161665b094fdeb17ef3c2d66d7120ce0e9c47d",
+            "trace-C15.csv": "a34192b1da681365ffb08eb9898665530f7d16c76ba5f2a88de78a99f96be442",
+        }
 
     @pytest.mark.parametrize("target, described", [
         ("cesaro", "cesaro-bounded"),

@@ -22,8 +22,8 @@ from sumkit.core import (
     harmonic,
     judge_trace,
     ones,
-    partial_sum,
     powers,
+    running_sums,
     scalar_to_json,
     space_evidence,
     zeros,
@@ -59,10 +59,13 @@ class TestSequences:
             ones().at(0)
 
     def test_combinators(self):
-        x = harmonic().scaled(6).plus(ones().scaled(-1))
-        # 6/k - 1 at k = 2 is 2
-        assert x.at(2) == 2
-        assert x.at(6) == 0
+        # zeroed_prefix then as_float: the zeros and the mode carry over
+        x = harmonic().zeroed_prefix(2).as_float()
+        got = x.prefix(4)
+        assert got == [0.0, 0.0, 1 / 3, 0.25]
+        assert not x.exact and all(type(v) is float for v in got)
+        y = LazySequence.from_terms([1, 2, 3]).zeroed_prefix(1).as_float()
+        assert y.support == 3 and y.prefix(4) == [0.0, 2.0, 3.0, 0.0]
 
     def test_zeroed_prefix(self):
         x = ones().zeroed_prefix(3)
@@ -85,6 +88,11 @@ class TestSequences:
         assert calls.count(9) == 1
 
 
+def partial_sum(x, n):
+    """Sum of the first ``n`` terms of ``x`` by ``running_sums``."""
+    return running_sums(x.at, x.zero())(n)
+
+
 class TestPartialSums:
     def test_ones(self):
         assert partial_sum(ones(), 4) == 4
@@ -99,14 +107,15 @@ class TestPartialSums:
 
     def test_empty_sum(self):
         assert partial_sum(ones(), 0) == 0
-        with pytest.raises(ValueError):
-            partial_sum(ones(), -1)
+        assert type(partial_sum(ones(exact=False), 0)) is float
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30),
            st.integers(0, 29))
     def test_one_more_term(self, terms, n):
         x = LazySequence.from_terms([Fraction(t) for t in terms])
-        assert partial_sum(x, n) + x.at(n + 1) == partial_sum(x, n + 1)
+        prefix = running_sums(x.at, x.zero())
+        # the longer prefix first: the shorter one is read from the kept sums
+        assert prefix(n + 1) == prefix(n) + x.at(n + 1) == partial_sum(x, n + 1)
 
 
 class TestSchedules:

@@ -158,8 +158,9 @@ class TestBetaGammaChecks:
             assert _RANK[beta] <= _RANK[gamma], a.label
 
     def test_statistic_scales_with_the_element(self):
-        base = gamma_dual_check("int-bv", powers(-2), WP_ONES, FAST)
-        scaled = gamma_dual_check("int-bv", powers(-2).scaled(Fraction(2)),
+        a = powers(-2)
+        base = gamma_dual_check("int-bv", a, WP_ONES, FAST)
+        scaled = gamma_dual_check("int-bv", LazySequence(lambda k: 2 * a.at(k)),
                                   WP_ONES, FAST)
         assert scaled.status is base.status
         for (n1, v1), (n2, v2) in zip(base.trace, scaled.trace):

@@ -42,7 +42,19 @@ on ``riesz:ones`` (C20), each at 128..1024, and exact linf into l1 on
 reduction's rows and a composite's float generator rows: linf into int-bv
 on ``cesaro`` at 128..1024, table 6 cs into d-bv on ``euler:1/3`` at
 64..512, and int-bv into the ``euler:1/2`` domain on ``cesaro`` at
-64..512.
+64..512; and eight runs of the CLI surface no earlier digest reached:
+``expr:`` matrices (exact l1 into cs on ``1/(n*k)``, float l1 into c on
+``1/(n+k)`` and, with ``--full`` on table 1, on ``1/(n+k)^2``), float
+``--full`` target reductions under a non-constant u (table 5 c0 into
+int-bv on ``1/(n+k)^2`` and table 6 c0 into d-bv on ``(n-k)/(n+1)``,
+both at 8..64), the exact table-5 reduction of ``taylor:1/2``, whose rows
+are infinite (at 8,16,32), and a float class-check and an
+``inverse --matrix`` on the checked-in lower-triangular
+``tests/lower_triangle.csv``.  ``record_golden.record`` runs every
+command from the repository root, so that relative path (which the report
+prints) resolves the same way here and in the recorder.  The files that
+``--csv`` and ``--matrix-csv`` write are pinned by their own sha256 in
+``test_cli.py``.
 
 The digests in ``golden_reports.json`` pin the report bytes, so any change
 to a verdict, a trace value or the rendering shows up here.  When a report
@@ -50,16 +62,14 @@ changes on purpose, regenerate the file with ``tests/record_golden.py`` and
 say why in the change log.
 """
 
-import hashlib
 import json
 import shlex
-from pathlib import Path
 
 import pytest
-from conftest import run_cli
+from record_golden import PATH, check, record
 from test_acceptance import documented_invocations
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+GOLDEN = json.loads(PATH.read_text())
 CASES = {**GOLDEN["readme"], **GOLDEN["extra"]}
 
 
@@ -70,15 +80,11 @@ def test_every_documented_invocation_is_recorded():
 
 @pytest.mark.parametrize("command", list(CASES))
 def test_report_matches_the_recorded_digest(command):
-    code, text = run_cli(*shlex.split(command))
-    assert code == CASES[command]["exit_code"]
-    assert hashlib.sha256(text.encode()).hexdigest() == CASES[command]["sha256"]
+    assert record(command) == CASES[command]
 
 
 def test_check_names_each_mismatch(capsys):
     # ``record_golden.py --check`` replays the digests without pytest
-    from record_golden import check
-
     command = next(iter(GOLDEN["readme"]))
     recorded = GOLDEN["readme"][command]
     assert check({"readme": {command: recorded}, "extra": {}}) == 0

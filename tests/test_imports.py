@@ -1,6 +1,7 @@
 """The runtime is standard-library only: every module ``src/sumkit`` imports
 is in the standard library or is ``sumkit`` itself.  Static guards on the
-sources: no builtin ``sum``, no entry-by-entry walks, no unused imports."""
+sources: no builtin ``sum``, no entry-by-entry walks, no unused imports, no
+definition that nothing in the package reads."""
 
 import ast
 import sys
@@ -101,9 +102,11 @@ def test_an_entry_walk_is_caught():
 
 
 # names a module imports and never uses, kept because something outside the
-# package looks them up there: perfbench/tracing.py binds these two in cli
+# package looks them up there: perfbench/tracing.py binds these two in cli,
+# and space_evidence in spaces (test_tracing_spans.py checks that it resolves)
 UNUSED_IMPORTS_ALLOWED = {("cli.py", "pairing_identity_check"),
-                          ("cli.py", "verify_reduction_roundtrip")}
+                          ("cli.py", "verify_reduction_roundtrip"),
+                          ("spaces.py", "space_evidence")}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -133,3 +136,51 @@ def test_an_unused_import_is_caught():
                      "import json as js\nfrom math import inf, nan\n"
                      "def f():\n    from re import compile\n    return os, nan\n")
     assert unused_imports(tree) == ["js", "inf"]
+
+
+# definitions no module in the package reads, kept because the acceptance
+# tests call them (perfbench/tracing.py also wraps the last two, in cli)
+CALLERLESS_ALLOWED = {"ak_tail_norm", "all_ones", "pairing_identity_check",
+                      "verify_reduction_roundtrip"}
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads, bare (``f``) or as an attribute (``x.f``)."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def callerless(trees: dict[str, ast.Module]) -> list[str]:
+    """``module:name`` of every function and class (dunder methods aside)
+    whose name no module but ``__init__.py`` reads; re-exporting a name is
+    not a use of it."""
+    read = set().union(*(read_names(tree) for module, tree in trees.items()
+                         if module != "__init__.py"))
+    return [f"{module}:{node.name}" for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in read]
+
+
+def test_every_definition_is_read():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    unread = [entry for entry in callerless(trees)
+              if entry.split(":")[1] not in CALLERLESS_ALLOWED]
+    assert not unread, f"defined and never read in the package: {unread}"
+
+
+def test_a_callerless_definition_is_caught():
+    # a method read as an attribute, a function read in its own module and
+    # one read in another are used; a store (``self.m = 1``) and a re-export
+    # in __init__.py are not; dunder methods are exempt
+    trees = {"__init__.py": ast.parse("from .a import f, g, h\n__all__ = ['h']\n"),
+             "a.py": ast.parse("def f():\n    return g\nclass C:\n"
+                               "    def __init__(self):\n        self.m = 1\n"
+                               "    def m(self):\n        pass\n"
+                               "    def used(self):\n        pass\n"
+                               "x = C().used\ny = f\n"),
+             "b.py": ast.parse("def g():\n    pass\ndef h():\n    pass\n")}
+    assert callerless(trees) == ["a.py:m", "b.py:h"]

@@ -14,7 +14,7 @@ from sumkit.minilang import (
     parse_sequence_spec,
     parse_weight_spec,
 )
-from sumkit.operators import MATRIX_FAMILIES, TriangleKind, truncation
+from sumkit.operators import MATRIX_FAMILIES, TriangleKind
 
 
 def ev(src, **env):
@@ -328,7 +328,8 @@ class TestMatrixSpecs:
         assert spec.canonical == canonical
         again = parse_matrix_spec(spec.canonical)
         assert again.canonical == canonical
-        assert truncation(again.operator, 8) == truncation(spec.operator, 8)
+        assert ([again.operator.row(i, 8) for i in range(1, 9)]
+                == [spec.operator.row(i, 8) for i in range(1, 9)])
 
     def test_unknown_matrix(self):
         with pytest.raises(SpecParseError):

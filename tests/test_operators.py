@@ -31,7 +31,6 @@ from sumkit.operators import (
     difference_matrix,
     differentiated_inverse,
     differentiated_triangle,
-    euler_entry,
     euler_matrix,
     identity_matrix,
     integrated_inverse,
@@ -40,9 +39,6 @@ from sumkit.operators import (
     matrix_product,
     riesz_matrix,
     taylor_matrix,
-    taylor_row_tail,
-    truncation,
-    weighted_mean_triangle,
 )
 
 from conftest import random_sequence, random_weight_pair
@@ -108,9 +104,10 @@ class TestWeightPair:
 
 class TestTriangleEntries:
     def test_weighted_mean(self):
-        T = weighted_mean_triangle(WP_ONES)
+        # a row-built triangle answers entries from its rows, zero above them
+        T = _weighted_mean_triangle(WP_ONES)
         assert T.entry(3, 2) == 1
-        assert weighted_mean_triangle(WP_HARM).entry(4, 2) == Fraction(1, 2)
+        assert _weighted_mean_triangle(WP_HARM).entry(4, 2) == Fraction(1, 2)
         assert T.entry(2, 5) == 0  # strictly above the diagonal
 
     def test_integrated_ones_is_diag_n(self):
@@ -146,7 +143,8 @@ class TestTriangleEntries:
             integrated_triangle(WP_ONES).entry(0, 1)
 
     def test_truncation_block(self):
-        block = truncation(integrated_triangle(WP_ONES), 3)
+        G = integrated_triangle(WP_ONES)
+        block = [G.row(i, 3) for i in range(1, 4)]
         assert block == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
 
     @pytest.mark.parametrize("name", list(_ROW_RANGE_MATRICES))
@@ -242,11 +240,15 @@ class TestApply:
         x = LazySequence.from_terms([Fraction(v) for v in xs])
         z = LazySequence.from_terms([Fraction(v) for v in zs])
         G = integrated_triangle(WP_HARM)
-        lhs = apply_triangle(G, x.scaled(Fraction(a)).plus(z.scaled(Fraction(b))))
-        rhs = apply_triangle(G, x).scaled(Fraction(a)).plus(
-            apply_triangle(G, z).scaled(Fraction(b)))
+        lhs = apply_triangle(G, _combine(a, x, b, z))
+        rhs = _combine(a, apply_triangle(G, x), b, apply_triangle(G, z))
         n = max(len(xs), len(zs)) + 2
         assert lhs.prefix(n) == rhs.prefix(n)
+
+
+def _combine(a, x, b, z):
+    """The sequence a x + b z, for integers a and b."""
+    return LazySequence(lambda k: a * x.at(k) + b * z.at(k))
 
 
 class TestInverses:
@@ -415,10 +417,12 @@ class TestClassicalMatrices:
         assert T.entry(2, 5) == Fraction(1, 8)
 
     def test_taylor_row_tail_is_exact(self):
-        tail = taylor_row_tail(Fraction(1, 2), 1, 64)
+        # every Taylor row sums to 1, so the mass beyond column 64 is exact
+        T = taylor_matrix(Fraction(1, 2))
+        tail = 1 - sum(T.row(1, 64))
         assert tail == Fraction(1, 2**64)
-        partial = sum(taylor_matrix(Fraction(1, 2)).entry(2, j) for j in range(2, 65))
-        assert taylor_row_tail(Fraction(1, 2), 2, 64) == 1 - partial
+        partial = sum(T.entry(2, j) for j in range(2, 65))
+        assert 1 - sum(T.row(2, 64, 2)) == 1 - partial
         assert float(tail) < 1e-12
 
     def test_difference_and_identity(self):
@@ -434,6 +438,11 @@ class TestClassicalMatrices:
             classical_matrix("hilbert")
         with pytest.raises(ValueError):
             classical_matrix("riesz")
+
+
+def euler_entry(r, n, k):
+    """The closed form C(n-1, k-1) (1-r)^(n-k) r^(k-1), in rationals."""
+    return math.comb(n - 1, k - 1) * (1 - r) ** (n - k) * r ** (k - 1)
 
 
 def riesz_entry(t, n, k):
@@ -504,7 +513,7 @@ def _row_built_case(name, wp, a):
             return M, rule
         return M.as_float(), lambda n, k: float(rule(n, k))
     if name == "weighted-mean":
-        return weighted_mean_triangle(wp), weighted_mean_rule(wp)
+        return _weighted_mean_triangle(wp), weighted_mean_rule(wp)
     if name == "integrated-bv":
         return integrated_triangle(wp), bv_rule(wp, True)
     if name == "differentiated-bv":
@@ -534,9 +543,10 @@ def _weights_with_zeros(zeros, exact):
 
 
 class TestRowBuiltTriangles:
-    """The weighted and bv triangles, identity, difference and the alpha
-    kernels are row-built; every row must equal the old entry rule with
-    equal types, and raise the error the rule raises first along the row."""
+    """The bv triangles, identity, difference, the alpha kernels and a
+    plain weighted mean (built here) are row-built; every row must equal
+    the old entry rule with equal types, and raise the error the rule
+    raises first along the row."""
 
     NAMES = ["weighted-mean", "integrated-bv", "differentiated-bv", "identity",
              "difference", "alpha-int-bv", "alpha-d-bv"]
@@ -688,9 +698,9 @@ class TestRowBuiltClassicalMatrices:
 
     @pytest.mark.parametrize("make, cell, message", [
         # a row builder rounds each exact row it builds: u_1 w_1 overflows
-        (lambda: weighted_mean_triangle(WeightPair(LazySequence(lambda k: _HUGE), ones())),
+        (lambda: _weighted_mean_triangle(WeightPair(LazySequence(lambda k: _HUGE), ones())),
          (1, 1), "entry (1, 1) of weighted-mean is too large for a float"),
-        (lambda: weighted_mean_triangle(
+        (lambda: _weighted_mean_triangle(
             WeightPair(ones(), LazySequence(lambda k: _HUGE if k == 2 else Fraction(1)))),
          (2, 2), "entry (2, 2) of weighted-mean is too large for a float"),
         # an entry rule is rounded entry by entry
@@ -704,6 +714,15 @@ class TestRowBuiltClassicalMatrices:
         with pytest.raises(ValueError) as exc:
             make().as_float().row(*cell)
         assert str(exc.value) == message
+
+
+def _weighted_mean_triangle(wp):
+    """The row-built triangle u_n w_k on k <= n, labelled ``weighted-mean``."""
+    def build_row(n):
+        return [wp.u_at(n) * wp.w_at(k) for k in range(1, n + 1)]
+
+    return TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                            exact=wp.exact, label="weighted-mean")
 
 
 def _rounded(divide):

@@ -14,6 +14,7 @@ from sumkit.core import (
     harmonic,
     ones,
     powers,
+    space_evidence,
     zeros,
 )
 from sumkit.errors import UnsupportedSpaceError
@@ -24,7 +25,6 @@ from sumkit.spaces import (
     domain_norm,
     domain_space,
     embed_from_l1,
-    membership_evidence,
 )
 from conftest import random_sequence, random_weight_pair
 
@@ -36,7 +36,6 @@ WP_HARM = WeightPair(ones(), harmonic())
 def test_domain_space_accepts_names_and_enums():
     s = domain_space("int-bv", WP_ONES)
     assert s.name is SpaceName.INT_BV
-    assert s.base is SpaceTag.L1
     assert domain_space(SpaceName.D_BV, WP_ONES).name is SpaceName.D_BV
     with pytest.raises(ValueError):
         domain_space("bv", WP_ONES)
@@ -81,27 +80,35 @@ class TestNorms:
         assert image.prefix(24) == y.prefix(24)
 
 
+def _membership(space, x):
+    """l1 evidence for T x, T the space's triangle, with its trace checked
+    against the domain norm at every size."""
+    v = space_evidence(apply_triangle(space.triangle, x), SpaceTag.L1, SCHED)
+    for n, stat in v.trace:
+        assert stat == domain_norm(space, x, n), n
+    return v
+
+
 class TestMembership:
     def test_ones_outside_harmonic_weighted_space(self):
         s = domain_space("int-bv", WP_HARM)
-        v = membership_evidence(s, ones(), SCHED)
+        v = _membership(s, ones())
         assert v.status is Verdict.DIVERGENCE
-        assert v.aux["domain"] == "int-bv"
 
     def test_cubic_decay_inside(self):
         s = domain_space("int-bv", WP_ONES)
-        v = membership_evidence(s, powers(-3), SCHED)
+        v = _membership(s, powers(-3))
         assert v.status is Verdict.HOLDS
 
     def test_zero_sequence(self):
         s = domain_space("int-bv", WP_HARM)
-        v = membership_evidence(s, zeros(), SCHED)
+        v = _membership(s, zeros())
         assert v.status is Verdict.HOLDS
         assert v.trace[-1][1] == 0
 
     def test_ones_outside_d_bv(self):
         s = domain_space("d-bv", WP_ONES)
-        v = membership_evidence(s, ones(), SCHED)
+        v = _membership(s, ones())
         assert v.status is Verdict.DIVERGENCE
 
 
