@@ -15,15 +15,15 @@ from .errors import (InvalidWeightError, ScheduleError, SingularTriangleError,
                      SpecParseError, SumkitError, UnsupportedClassError,
                      UnsupportedRowError, UnsupportedSpaceError)
 from .operators import (TriangleKind, TriangleOperator, WeightPair,
-                        apply_triangle, basis_column,
-                        basis_tabulated_discrepancies, cesaro_matrix,
+                        apply_triangle, cesaro_matrix,
                         classical_matrix, difference_matrix,
                         differentiated_inverse, differentiated_triangle,
                         euler_matrix, identity_matrix, integrated_inverse,
                         integrated_triangle, invert_triangle, matrix_product,
                         riesz_matrix, taylor_matrix)
-from .spaces import (DomainSpace, SpaceName, ak_tail_norm, domain_norm,
-                     domain_space, embed_from_l1)
+from .spaces import (DomainSpace, SpaceName, ak_tail_norm, basis_column,
+                     basis_tabulated_discrepancies, domain_norm, domain_space,
+                     embed_from_l1)
 from .duals import (CORRECTION_NOTES, DualMatrixKind, alpha_dual_check,
                     beta_dual_check, dual_kernel_matrix, gamma_dual_check,
                     pairing_identity_check, pairing_identity_sides)
@@ -48,12 +48,12 @@ __all__ = [
     "SpecParseError", "SumkitError", "UnsupportedClassError",
     "UnsupportedRowError", "UnsupportedSpaceError",
     "TriangleKind", "TriangleOperator", "WeightPair", "apply_triangle",
-    "basis_column", "basis_tabulated_discrepancies", "cesaro_matrix",
-    "classical_matrix", "difference_matrix", "differentiated_inverse",
-    "differentiated_triangle", "euler_matrix", "identity_matrix",
-    "integrated_inverse", "integrated_triangle", "invert_triangle",
-    "matrix_product", "riesz_matrix", "taylor_matrix",
-    "DomainSpace", "SpaceName", "ak_tail_norm", "domain_norm", "domain_space",
+    "cesaro_matrix", "classical_matrix", "difference_matrix",
+    "differentiated_inverse", "differentiated_triangle", "euler_matrix",
+    "identity_matrix", "integrated_inverse", "integrated_triangle",
+    "invert_triangle", "matrix_product", "riesz_matrix", "taylor_matrix",
+    "DomainSpace", "SpaceName", "ak_tail_norm", "basis_column",
+    "basis_tabulated_discrepancies", "domain_norm", "domain_space",
     "embed_from_l1",
     "CORRECTION_NOTES", "DualMatrixKind", "alpha_dual_check",
     "beta_dual_check", "dual_kernel_matrix", "gamma_dual_check",

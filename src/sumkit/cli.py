@@ -32,9 +32,9 @@ from .classes import (CompositeTarget, characterize, reduction_roundtrip_sides,
 from .errors import SumkitError, SpecParseError
 from .minilang import (parse_family_spec, parse_matrix_spec, parse_schedule_spec,
                        parse_sequence_spec, parse_weight_spec)
-from .operators import (MATRIX_FAMILIES, WeightPair, apply_triangle, invert_triangle,
-                        basis_column, basis_tabulated_discrepancies)
-from .spaces import SpaceName, domain_norm, domain_space, embed_from_l1
+from .operators import MATRIX_FAMILIES, WeightPair, apply_triangle, invert_triangle
+from .spaces import (SpaceName, basis_column, basis_tabulated_discrepancies, domain_norm,
+                     domain_space, embed_from_l1)
 
 SCHEMA_VERSION = 1
 TOOL = "sumkit"

@@ -494,62 +494,6 @@ def differentiated_inverse(wp: WeightPair, y: LazySequence) -> LazySequence:
 
 
 # ---------------------------------------------------------------------------
-# Basis columns
-# ---------------------------------------------------------------------------
-
-
-def basis_column(space: str, wp: WeightPair, k: int) -> LazySequence:
-    """Column ``k`` of the inverse triangle: the unique solution of
-    ``T s = e^(k)``, computed by the closed-form inverse (tests keep
-    back-substitution as its oracle)."""
-    from .spaces import domain_space, embed_from_l1  # local import to avoid a cycle
-
-    return embed_from_l1(domain_space(space, wp), LazySequence.unit(k, exact=wp.exact))
-
-
-def basis_column_tabulated(space: str, wp: WeightPair, k: int) -> LazySequence:
-    """A tabulated closed form for basis columns kept only for comparison.
-
-    Known to disagree with the defining identity for weights where
-    u_{k+1} != w_{k+1}; see ``basis_tabulated_discrepancies``.
-    """
-    from .spaces import SpaceName
-
-    name = SpaceName(space)
-    exact = wp.exact
-    zero: Scalar = Fraction(0) if exact else 0.0
-
-    def factor(kk: int) -> Scalar:
-        return 1 / (wp.u_at(kk) * wp.w_at(kk)) - 1 / (wp.u_at(kk) * wp.u_at(kk + 1))
-
-    def rule(n: int) -> Scalar:
-        if n < k:
-            return zero
-        if n == k:
-            diag = wp.u_at(k) * wp.w_at(k)
-            return 1 / (n * diag) if name is SpaceName.INT_BV else n / diag
-        return factor(k) / n if name is SpaceName.INT_BV else factor(k) * n
-
-    return LazySequence(rule, exact=exact, label="basis-tabulated")
-
-
-def basis_tabulated_discrepancies(space: str, wp: WeightPair, k: int, n_max: int) -> list[int]:
-    """Indices n <= n_max where the tabulated closed form disagrees with the
-    oracle-defined basis column.
-
-    Float weights are compared through their exact values (every float is
-    a rational), so two formulas that round differently do not count as
-    disagreeing."""
-    if not wp.exact:
-        u, w = wp.u, wp.w
-        wp = WeightPair(LazySequence(lambda j: Fraction(u.at(j)), label=u.label),
-                        LazySequence(lambda j: Fraction(w.at(j)), label=w.label))
-    oracle = basis_column(space, wp, k)
-    tab = basis_column_tabulated(space, wp, k)
-    return [n for n in range(1, n_max + 1) if oracle.at(n) != tab.at(n)]
-
-
-# ---------------------------------------------------------------------------
 # Classical matrices (all converted to 1-based indexing on construction)
 # ---------------------------------------------------------------------------
 

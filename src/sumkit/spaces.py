@@ -1,4 +1,4 @@
-"""The two matrix-domain spaces over l1 and their norms.
+"""The two matrix-domain spaces over l1, their norms and their coordinate bases.
 
 Both spaces are absolutely-summable domains of a strict triangle built
 from a weight pair: ``int-bv`` uses the integrated triangle, ``d-bv`` the
@@ -57,6 +57,25 @@ def domain_norm(space: DomainSpace, x: LazySequence, n: int) -> Scalar:
 def embed_from_l1(space: DomainSpace, y: LazySequence) -> LazySequence:
     """The inverse image x with T x = y; the isometry from l1 onto the space."""
     return _TRIANGLES[space.name][1](space.weights, y)
+
+
+def basis_column(space, wp: WeightPair, k: int) -> LazySequence:
+    """Column ``k`` of the inverse triangle: the unique solution of
+    ``T s = e^(k)``, computed by the closed-form inverse (tests keep
+    back-substitution as its oracle)."""
+    return embed_from_l1(domain_space(space, wp), LazySequence.unit(k, exact=wp.exact))
+
+
+def basis_tabulated_discrepancies(space, wp: WeightPair, k: int, n_max: int) -> list[int]:
+    """Indices n <= n_max where the tabulated closed form of basis column
+    ``k`` is wrong.  Past k the column is (1/u_k)(1/w_k - 1/w_{k+1}) / f(n),
+    with f(n) = n on int-bv and 1/n on d-bv, and the tabulated form reads
+    u_{k+1} for w_{k+1}; up to k the two agree.  So it is wrong at every
+    n > k exactly when u_{k+1} != w_{k+1} (floats compare by exact value)."""
+    SpaceName(space)  # a bad name raises ValueError
+    if k < n_max and wp.u_at(k + 1) != wp.w_at(k + 1):
+        return list(range(k + 1, n_max + 1))
+    return []
 
 
 def ak_tail_norm(space: DomainSpace, x: LazySequence, m: int, n_eval: int) -> Scalar:

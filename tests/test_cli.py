@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from conftest import run_cli
 
 import sumkit
 from sumkit import classes
+from sumkit.cli import _EXIT_CODES, _identity_check
+from sumkit.core import scalar_to_json
 
 
 def run_json(*argv):
@@ -338,6 +341,32 @@ class TestReductionCheck:
         assert code == 1
         assert text == ""
         assert "row-finite" in capsys.readouterr().err
+
+
+class TestIdentityCheck:
+    """The MISMATCH route of ``cli._identity_check``, which no command
+    reaches on valid input: both sides agree at rows 1 and 2 and differ by
+    ``off`` from row 3 on."""
+
+    @staticmethod
+    def sides(zero, off):
+        return lambda m: (m / (zero + 7), m / (zero + 7) + (off if m >= 3 else zero))
+
+    @pytest.mark.parametrize("mode, zero, off", [("exact", Fraction(0), Fraction(1, 2)),
+                                                 ("float", 0.0, 1e-6)])
+    def test_first_mismatch_names_row_3(self, mode, zero, off):
+        status, outputs = _identity_check(self.sides(zero, off), 12, mode, 1e-9)
+        assert status == "MISMATCH"
+        assert _EXIT_CODES[status] == 2
+        assert outputs["first_mismatch"] == {"n": 3, "lhs": scalar_to_json(3 / (zero + 7)),
+                                             "rhs": scalar_to_json(3 / (zero + 7) + off)}
+        assert outputs["checked_through"] == 12
+        assert [sample["n"] for sample in outputs["samples"]] == list(range(1, 9))
+
+    def test_a_float_difference_inside_the_tolerance_matches(self):
+        status, outputs = _identity_check(self.sides(0.0, 1e-12), 12, "float", 1e-9)
+        assert status == "MATCH"
+        assert outputs["first_mismatch"] is None
 
 
 # ---------------------------------------------------------------------------

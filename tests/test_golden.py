@@ -50,7 +50,18 @@ int-bv on ``1/(n+k)^2`` and table 6 c0 into d-bv on ``(n-k)/(n+1)``,
 both at 8..64), the exact table-5 reduction of ``taylor:1/2``, whose rows
 are infinite (at 8,16,32), and a float class-check and an
 ``inverse --matrix`` on the checked-in lower-triangular
-``tests/lower_triangle.csv``.  ``record_golden.record`` runs every
+``tests/lower_triangle.csv``; and six ``basis`` reports that pin the
+warning's criterion u_{k+1} != w_{k+1}: float int-bv under ``--u ones
+--w harmonic`` and float d-bv under ``--u harmonic --w ones`` (both
+warn), exact d-bv with u = w and exact int-bv with k past n (both
+silent), and ``--u 1/3`` against the 0.333... that is the float nearest
+1/3, which warns in exact mode and is silent in float mode, where both
+weights round to the same float; and five runs of paths no earlier
+digest reached: C21's row reads on the non-triangle ``expr:1/(n+k)^2``
+(table 2, ``--full``, bs into l1 at 8..64, in both modes), C16 held by
+an exact zero (exact l1 into c0s on ``difference`` at 8..64), an
+``expr:`` sequence in ``transform`` and ``;tail=`` specs in ``norm``.
+``record_golden.record`` runs every
 command from the repository root, so that relative path (which the report
 prints) resolves the same way here and in the recorder.  The files that
 ``--csv`` and ``--matrix-csv`` write are pinned by their own sha256 in

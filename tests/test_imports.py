@@ -1,7 +1,8 @@
 """The runtime is standard-library only: every module ``src/sumkit`` imports
 is in the standard library or is ``sumkit`` itself.  Static guards on the
-sources: no builtin ``sum``, no entry-by-entry walks, no unused imports, no
-definition that nothing in the package reads."""
+sources: each module imports only the modules below it, no builtin ``sum``,
+no entry-by-entry walks, no unused imports, no definition that nothing in
+the package reads."""
 
 import ast
 import sys
@@ -38,6 +39,64 @@ def test_a_third_party_import_is_caught():
     tree = ast.parse("import math\nimport numpy as np\n"
                      "def f():\n    from gmpy2 import mpq\n    from . import core\n")
     assert imported_modules(tree) - set(sys.stdlib_module_names) == {"numpy", "gmpy2"}
+
+
+# the package's modules from the bottom up: each may import, at module level
+# or inside a function, only the modules before it; __init__.py, which
+# re-exports them all, is exempt
+LAYERS = ["errors", "core", "operators", "spaces", "duals", "classes", "minilang", "cli"]
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules that the imports anywhere in ``tree`` name, as
+    ``from .m import x``, ``from . import m``, ``from sumkit.m import x`` or
+    ``import sumkit.m``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("sumkit."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module if node.level == 0 else f"sumkit.{node.module or ''}"
+            if module in ("sumkit", "sumkit."):
+                names.update(alias.name for alias in node.names)
+            elif module and module.startswith("sumkit."):
+                names.add(module.split(".")[1])
+    return names
+
+
+def upward_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """``module -> imported`` for every package import of a module that is
+    not below the importer in ``LAYERS``."""
+    bad = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        below = LAYERS[:LAYERS.index(Path(module).stem)]
+        bad.extend(f"{module} -> {name}" for name in sorted(package_imports(tree))
+                   if name not in below)
+    return bad
+
+
+def test_modules_import_only_the_layers_below():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert sorted(LAYERS) == sorted(Path(module).stem for module in trees
+                                    if module != "__init__.py")
+    bad = upward_imports(trees)
+    assert not bad, f"imports of a module not below the importer: {bad}"
+
+
+def test_an_upward_import_is_caught():
+    # a function-level import counts as much as a module-level one, in any
+    # of the four spellings; a self-import is not below either
+    trees = {"__init__.py": ast.parse("from .cli import run\n"),
+             "operators.py": ast.parse("from .core import ones\nfrom . import errors\n"
+                                       "def basis():\n    from .spaces import domain_space\n"),
+             "core.py": ast.parse("from .errors import E\nimport sumkit.cli\n"
+                                  "from sumkit import duals\nfrom sumkit.core import x\n"),
+             "spaces.py": ast.parse("import os.path\nfrom math import inf\n")}
+    assert upward_imports(trees) == ["operators.py -> spaces", "core.py -> cli",
+                                     "core.py -> core", "core.py -> duals"]
 
 
 def builtin_sum_calls(tree: ast.AST) -> list[int]:

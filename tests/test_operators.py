@@ -23,9 +23,6 @@ from sumkit.operators import (
     TriangleOperator,
     WeightPair,
     apply_triangle,
-    basis_column,
-    basis_column_tabulated,
-    basis_tabulated_discrepancies,
     cesaro_matrix,
     classical_matrix,
     difference_matrix,
@@ -40,6 +37,7 @@ from sumkit.operators import (
     riesz_matrix,
     taylor_matrix,
 )
+from sumkit.spaces import SpaceName, basis_column, basis_tabulated_discrepancies
 
 from conftest import random_sequence, random_weight_pair
 from test_acceptance import SEED, exact_sequence, weight_pair
@@ -366,10 +364,63 @@ class TestBasisColumns:
         # defining identity needs w_{k+1}, so every sub-diagonal entry is off
         bad = basis_tabulated_discrepancies("int-bv", WP_HARM, 3, 12)
         assert bad == list(range(4, 13))
-        tab = basis_column_tabulated("int-bv", WP_HARM, 3)
+        tab = _basis_column_tabulated("int-bv", WP_HARM, 3)
         oracle = basis_column("int-bv", WP_HARM, 3)
         assert tab.at(3) == oracle.at(3)  # the diagonal entry still matches
         assert tab.at(4) != oracle.at(4)
+
+    @pytest.mark.parametrize("space", ["int-bv", "d-bv"])
+    def test_criterion_matches_the_tabulated_oracle(self, space):
+        # the criterion u_{k+1} != w_{k+1} against a position-by-position
+        # comparison, in exact arithmetic, of the tabulated form with the
+        # column; float pairs are compared through their exact values
+        rng = random.Random(SEED + 2)
+        third = LazySequence(lambda k: Fraction(1, 3))
+        pairs = [WeightPair(third, LazySequence(lambda k: Fraction(1 / 3)))]
+        for _ in range(3):
+            wp = random_weight_pair(rng)
+            pairs += [wp, WeightPair(wp.u, wp.u)]
+        warned = set()
+        for wp in pairs:
+            for pair in (wp, wp.as_float()):
+                exact = WeightPair(LazySequence(lambda j, u=pair.u: Fraction(u.at(j))),
+                                   LazySequence(lambda j, w=pair.w: Fraction(w.at(j))))
+                for k in range(1, 13):
+                    column = basis_column(space, exact, k)
+                    tab = _basis_column_tabulated(space, exact, k)
+                    for n_max in (k - 1, k, k + 1, 40):
+                        want = [n for n in range(1, n_max + 1) if column.at(n) != tab.at(n)]
+                        assert basis_tabulated_discrepancies(space, pair, k, n_max) == want
+                        warned.add(bool(want))
+        assert warned == {False, True}
+
+    def test_a_zero_weight_after_k_still_raises(self):
+        wp = WeightPair(LazySequence.from_terms([1, 2, 0, 4]), harmonic())
+        with pytest.raises(InvalidWeightError, match=r"u\[3\]"):
+            basis_tabulated_discrepancies("int-bv", wp, 2, 6)
+        assert basis_tabulated_discrepancies("int-bv", wp, 3, 3) == []
+
+    def test_a_bad_space_name_raises(self):
+        with pytest.raises(ValueError):
+            basis_tabulated_discrepancies("l1", WP_HARM, 3, 12)
+
+
+def _basis_column_tabulated(space, wp, k):
+    """The tabulated closed form of basis column ``k`` on an exact pair,
+    kept as the oracle of ``basis_tabulated_discrepancies``: past k it reads
+    u_{k+1} where the defining identity reads w_{k+1}."""
+    int_bv = SpaceName(space) is SpaceName.INT_BV
+
+    def rule(n):
+        if n < k:
+            return Fraction(0)
+        if n == k:
+            diag = wp.u_at(k) * wp.w_at(k)
+            return 1 / (n * diag) if int_bv else n / diag
+        factor = 1 / (wp.u_at(k) * wp.w_at(k)) - 1 / (wp.u_at(k) * wp.u_at(k + 1))
+        return factor / n if int_bv else factor * n
+
+    return LazySequence(rule, label="basis-tabulated")
 
 
 class TestClassicalMatrices:

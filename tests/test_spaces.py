@@ -18,10 +18,11 @@ from sumkit.core import (
     zeros,
 )
 from sumkit.errors import UnsupportedSpaceError
-from sumkit.operators import WeightPair, apply_triangle, basis_column
+from sumkit.operators import WeightPair, apply_triangle
 from sumkit.spaces import (
     SpaceName,
     ak_tail_norm,
+    basis_column,
     domain_norm,
     domain_space,
     embed_from_l1,
