@@ -95,13 +95,12 @@ def reduce_source_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
 
 
 def _reduce_target(A: TriangleOperator, T: TriangleOperator, name: str) -> TriangleOperator:
-    """T A for the bv triangle T: ``MeanRows.product`` for a strict A in
-    either mode, ``matrix_product`` for infinite rows or an exact T and a float A."""
+    """T A for the bv triangle T: ``MeanRows.product`` of its declared rows
+    for a strict A in either mode, ``matrix_product`` for infinite rows."""
     label = f"{name}({A.label})"
-    mean = T.mean_for(A.exact)
-    if mean is None or A.kind is not TriangleKind.STRICT_TRIANGLE:
+    if A.kind is not TriangleKind.STRICT_TRIANGLE:
         return matrix_product(T, A, label=label)
-    return mean.product(A, T.exact and A.exact, label)
+    return T.mean.product(A, T.exact and A.exact, label)
 
 
 def reduce_target_int_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
@@ -519,8 +518,6 @@ def table_recipe(table: int, source, target) -> Recipe:
 
 
 def _endpoint_name(endpoint) -> str:
-    if isinstance(endpoint, CompositeTarget):
-        return endpoint.describe()
     if isinstance(endpoint, (SpaceTag, SpaceName)):
         return endpoint.value
     return str(endpoint).lower()
@@ -652,7 +649,7 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
 
     A composite target composes its generator G with ``A`` (Taylor
     generators need ``row_bound``, which no other target accepts; a float
-    ``A`` meets the float rows of a strict G) and asks whether G A maps
+    ``A`` meets the float rows of G) and asks whether G A maps
     the domain source into linf, under the table out of that source.
     Every class then runs one sequence: the recipe, the reduction, the
     battery and, out of a domain space, the beta prerequisite on the rows
@@ -681,9 +678,9 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
         if G.kind is TriangleKind.ROW_EVALUABLE and row_bound is None:
             raise UnsupportedRowError(
                 "this composite generator has infinite rows; pass an explicit row bound")
-        if not A.exact and G.kind is TriangleKind.STRICT_TRIANGLE:
-            # its float rows divide p / q once per entry: the bits the
-            # product would round each exact entry to
+        if not A.exact:
+            # its float rows hold the bits the product would round each
+            # exact entry to
             G = G.as_float()
         A = matrix_product(G, A, left_row_bound=row_bound, label=f"{G.label}*{A.label}")
         free = SpaceTag.LINF

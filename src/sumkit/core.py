@@ -120,7 +120,7 @@ class LazySequence:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_terms(cls, terms: Iterable, *, exact: bool = True, label: str = "") -> "LazySequence":
+    def from_terms(cls, terms: Iterable, *, exact: bool = True) -> "LazySequence":
         """Finite leading terms, zero tail; support is the term count."""
         if exact:
             vals = [as_fraction(t) for t in terms]
@@ -133,14 +133,13 @@ class LazySequence:
         def rule(k: int) -> Scalar:
             return vals[k - 1] if k <= n else zero
 
-        return cls(rule, support=n, exact=exact, label=label)
+        return cls(rule, support=n, exact=exact)
 
     @classmethod
-    def unit(cls, k: int, *, exact: bool = True, label: str = "") -> "LazySequence":
+    def unit(cls, k: int, *, exact: bool = True) -> "LazySequence":
         one: Scalar = Fraction(1) if exact else 1.0
         zero: Scalar = Fraction(0) if exact else 0.0
-        return cls(lambda i: one if i == k else zero, support=k, exact=exact,
-                   label=label or f"e{k}")
+        return cls(lambda i: one if i == k else zero, support=k, exact=exact, label=f"e{k}")
 
     # -- combinators ---------------------------------------------------
 
@@ -250,7 +249,7 @@ def gray_subset_search(vectors: list[list], zero, score: Callable[[list], Scalar
 
 
 class SpaceTag(Enum):
-    """Classical sequence-space tags used by evidence statistics."""
+    """Classical sequence-space tags: the endpoints of the recipe tables."""
 
     L1 = "l1"
     LINF = "linf"
@@ -398,8 +397,6 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, Enum):
-        return obj.value
     return obj
 
 
@@ -521,45 +518,16 @@ def column_scan(A, sched: TruncationSchedule, *,
 # ---------------------------------------------------------------------------
 
 
-def space_evidence(x: LazySequence, tag: SpaceTag, sched: TruncationSchedule) -> ConditionVerdict:
-    """Truncation evidence that ``x`` belongs to the tagged classical space.
-
-    L1, LINF, C and C0 read the terms of ``x``; BS, CS and C0S read its
-    partial sums.  Statistics per tag: L1 the running sum of |x_k|; LINF /
-    BS the running max of the magnitudes; C / CS the oscillation (max -
-    min) over the last half of the window; C0 / C0S additionally require
-    the magnitudes there to vanish, so their defect is the max of
-    oscillation and magnitude.
-    """
-    series = x.prefix(sched.max_size)
-    if tag in (SpaceTag.BS, SpaceTag.CS, SpaceTag.C0S):
-        series = list(accumulate(series, initial=x.zero()))[1:]
-    mags = [abs(v) for v in series]
-
-    witness: Optional[dict] = None
-    if tag is SpaceTag.L1:
-        kind = StatKind.SUP
-        stats = list(accumulate(mags, initial=x.zero()))
-        trace = [(s, stats[s]) for s in sched.sizes]
-    elif tag in (SpaceTag.LINF, SpaceTag.BS):
-        kind = StatKind.SUP
-        trace = [(s, max(mags[:s])) for s in sched.sizes]
-        witness = {"index": 1 + mags.index(max(mags))}
-    else:
-        kind = StatKind.DEFECT
-        trace = []
-        for s in sched.sizes:
-            window = series[s // 2: s]
-            d = max(window) - min(window)
-            if tag in (SpaceTag.C0, SpaceTag.C0S):
-                d = max(d, max(mags[s // 2: s]))
-            trace.append((s, d))
-    if tag in (SpaceTag.L1, SpaceTag.BS):
-        for (_, prev), (_, v) in zip(trace, trace[1:]):
-            if v < prev:
-                raise AssertionError(f"{tag.name} statistic must be non-decreasing")
-
-    scale = max(1.0, max((_to_float(v) for v in mags), default=1.0))
-    status, routes = judge_trace([v for _, v in trace], kind, sched, scale=scale)
-    aux = {"space": tag.value, "routes": routes}
-    return ConditionVerdict(status=status, trace=trace, witness=witness, aux=aux)
+def space_evidence(x: LazySequence, sched: TruncationSchedule) -> ConditionVerdict:
+    """Truncation evidence that ``x`` lies in cs, that is, that its series
+    converges: at each size s the defect is the oscillation (max - min) of
+    the partial sums over the last half of the window."""
+    sums = list(accumulate(x.prefix(sched.max_size), initial=x.zero()))[1:]
+    trace = []
+    for s in sched.sizes:
+        window = sums[s // 2: s]
+        trace.append((s, max(window) - min(window)))
+    scale = max(1.0, max((_to_float(abs(v)) for v in sums), default=1.0))
+    status, routes = judge_trace([v for _, v in trace], StatKind.DEFECT, sched, scale=scale)
+    return ConditionVerdict(status=status, trace=trace,
+                            aux={"space": SpaceTag.CS.value, "routes": routes})

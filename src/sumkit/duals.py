@@ -26,7 +26,7 @@ from functools import reduce
 from operator import add
 from typing import Callable, Optional
 
-from .core import (ConditionVerdict, LazySequence, Scalar, SpaceTag, StatKind,
+from .core import (ConditionVerdict, LazySequence, Scalar, StatKind,
                    TruncationSchedule, column_scan, combine_conjunctive,
                    gray_subset_search, judge_trace, running_sums, space_evidence)
 from .operators import TriangleKind, TriangleOperator, WeightPair, uw_divisor
@@ -149,14 +149,18 @@ def sequence_pairing_rows(a: LazySequence, wp: WeightPair, integrated: bool,
 # ---------------------------------------------------------------------------
 
 
-def _row_subset_cross_check(M: TriangleOperator, depth: int = 12) -> dict:
+_CROSS_CHECK_DEPTH = 12
+
+
+def _row_subset_cross_check(M: TriangleOperator) -> dict:
     """Exhaustive row-subset statistic max_S sum_k |sum_{n in S} M(n,k)|
-    over S inside the first ``depth`` rows; a bounded cross-check of the
-    subset-family form of the alpha condition."""
+    over S inside the first ``_CROSS_CHECK_DEPTH`` rows; a bounded
+    cross-check of the subset-family form of the alpha condition."""
     zero = M.zero()
-    value, rows, _ = gray_subset_search([M.row(n, n) for n in range(1, depth + 1)], zero,
-                                        lambda acc: reduce(add, map(abs, acc), zero))
-    return {"value": value, "rows": rows, "depth": depth}
+    value, rows, _ = gray_subset_search(
+        [M.row(n, n) for n in range(1, _CROSS_CHECK_DEPTH + 1)], zero,
+        lambda acc: reduce(add, map(abs, acc), zero))
+    return {"value": value, "rows": rows, "depth": _CROSS_CHECK_DEPTH}
 
 
 def alpha_dual_check(space, a: LazySequence, wp: WeightPair,
@@ -299,7 +303,7 @@ def beta_dual_check(space, a: LazySequence, wp: WeightPair,
     """Gamma statistic plus convergent-series evidence for ``a`` itself; the
     combined verdict is the weaker of the two."""
     kernel_verdict = gamma_dual_check(space, a, wp, sched)
-    cs_verdict = space_evidence(a, SpaceTag.CS, sched)
+    cs_verdict = space_evidence(a, sched)
     status = combine_conjunctive([kernel_verdict.status, cs_verdict.status])
     aux = dict(kernel_verdict.aux)
     aux["cs_evidence"] = cs_verdict.to_dict()

@@ -223,8 +223,7 @@ class TriangleOperator:
 
     ``mean`` declares the rows of a bv triangle or an exact Riesz or Cesàro
     mean (``MeanRows``) for ``apply_triangle``, ``invert_triangle`` and the
-    target reductions; ``mean_for`` drops it where an exact operator meets
-    a float operand, and ``as_float`` drops it.
+    target reductions, in either mode of the operand; ``as_float`` drops it.
 
     The rational classical matrices (Riesz, Cesàro, Euler, identity,
     difference) give a ratio row builder ``(n, ratio) -> row``: each entry
@@ -316,10 +315,6 @@ class TriangleOperator:
         missing = upto - start + 1 - len(cells)
         return cells + [self.zero()] * missing if missing > 0 else cells
 
-    def mean_for(self, exact: bool) -> Optional[MeanRows]:
-        """``mean``, unless an exact operator meets a float operand."""
-        return self.mean if exact or not self.exact else None
-
     def extent(self, n: int, bound: Optional[int] = None) -> int:
         """The last column row ``n`` is read to: its declared support, else
         ``bound``; with neither, UnsupportedRowError."""
@@ -405,16 +400,15 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
                    row_bound: Optional[int] = None) -> LazySequence:
     """The matrix transform ``y = T x`` as a lazy sequence.
 
-    An operator with a mean declaration for ``x`` (``mean_for``) applies by
-    its recurrence.  Otherwise term n sums row n entry by entry in
-    ascending k: strict triangles sum their finite rows; row-evaluable
-    matrices use the declared row support, falling back to ``row_bound``
-    when given, and raise UnsupportedRowError otherwise.
+    An operator that declares its rows (``mean``) applies by its
+    recurrence, whatever the mode of ``x``.  Otherwise term n sums row n
+    entry by entry in ascending k: strict triangles sum their finite rows;
+    row-evaluable matrices use the declared row support, falling back to
+    ``row_bound`` when given, and raise UnsupportedRowError otherwise.
     """
     exact = T.exact and x.exact
-    mean = T.mean_for(x.exact)
-    if mean is not None:
-        return LazySequence(mean.apply(x, exact), exact=exact, label=f"{T.label}*{x.label}")
+    if T.mean is not None:
+        return LazySequence(T.mean.apply(x, exact), exact=exact, label=f"{T.label}*{x.label}")
 
     def rule(n: int) -> Scalar:
         total = Fraction(0) if exact else 0.0
@@ -428,8 +422,8 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
 def invert_triangle(T: TriangleOperator, y: LazySequence) -> LazySequence:
     """The solve of ``T x = y`` for a strict triangle, as a lazy sequence.
 
-    A weighted mean declared for ``y`` (exact Riesz and Cesàro means)
-    inverts by its recurrence.  Otherwise term n is found by
+    A declared weighted mean (exact Riesz and Cesàro means) inverts by its
+    recurrence, whatever the mode of ``y``.  Otherwise term n is found by
     back-substitution over rows 1..n in ascending order; that is the
     defining oracle used to cross-check every closed form and recurrence.
     """
@@ -437,9 +431,8 @@ def invert_triangle(T: TriangleOperator, y: LazySequence) -> LazySequence:
     if T.kind is not TriangleKind.STRICT_TRIANGLE:
         raise SingularTriangleError(None, name)
     exact = T.exact and y.exact
-    mean = T.mean_for(y.exact)
-    if mean is not None and mean.gamma is None:
-        return LazySequence(mean.inverse(y, exact), exact=exact,
+    if T.mean is not None and T.mean.gamma is None:
+        return LazySequence(T.mean.inverse(y, exact), exact=exact,
                             label=f"{T.label}^-1*{y.label}")
     memo: dict[int, Scalar] = {}
 
@@ -688,11 +681,9 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
 
         def build_row(n: int) -> list[Scalar]:
             # acc[k-1] gathers L(n,j) R(j,k) over j >= k in ascending j, the
-            # order of the entry-wise sum; a float product converts L(n,j)
-            # once, as Fraction * float would on every term.  A term with
-            # R(j,k) = 0 leaves acc[k-1] as it is (a float acc starts at +0.0
-            # and never becomes -0.0), unless L(n,j) is not finite, when the
-            # term is NaN
+            # order of the entry-wise sum.  A term with R(j,k) = 0 leaves
+            # acc[k-1] as it is (a float acc starts at +0.0 and never becomes
+            # -0.0), unless L(n,j) is not finite, when the term is NaN
             J = L.extent(n, left_row_bound)
             acc = [zero] * J
             for j, lv in enumerate(L.row(n, J), 1):
@@ -710,8 +701,6 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
                         right = None, array("d", rrow)
                     right_rows[j] = right
                 nonzero, dense = right
-                if not exact:
-                    lv = float(lv)
                 if nonzero is not None and (exact or math.isfinite(lv)):
                     for i, r in nonzero:
                         acc[i] = acc[i] + lv * r

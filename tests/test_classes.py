@@ -397,6 +397,10 @@ class TestCompositeTargets:
         assert rep.overall is Verdict.HOLDS
         assert any("composite" in note for note in rep.notes)
 
+    def test_a_composite_target_needs_weights(self):
+        with pytest.raises(UnsupportedClassError, match="weights required"):
+            characterize(identity_matrix(), "int-bv", CompositeTarget("cesaro"), None, SMALL)
+
     def test_taylor_generator_needs_a_row_bound(self):
         target = CompositeTarget("taylor", Fraction(1, 2))
         with pytest.raises(UnsupportedRowError):

@@ -560,11 +560,13 @@ class TestErrorsAndVersion:
           "--matrix", "expr:1/(n+k)", "--full", "--schedule", "4,8,16", "--row-bound", "8"),
          "source-side reduction needs a row-finite matrix; "
          "cesaro*expr:1/(n+k) has infinite rows"),
-        # schedule options must be finite
+        # schedule options must be finite, and sizes positive
         (("dual-check", "--space", "int-bv", "--kind", "beta", "--a", "ones",
           "--schedule", "16,32,64;tol=inf"), "stabilization tolerance must be finite"),
         (("dual-check", "--space", "int-bv", "--kind", "beta", "--a", "ones",
           "--schedule", "16,32,64;ratio=inf"), "growth ratio must be finite"),
+        (("class-check", "--source", "l1", "--target", "c", "--matrix", "cesaro",
+          "--schedule", "0,4,8"), "schedule sizes must be positive"),
         # a size past the address space fails before anything is allocated
         (("class-check", "--source", "linf", "--target", "l1", "--matrix", "identity",
           "--schedule", "16,32,2305843009213693952"), "out of memory"),

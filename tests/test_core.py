@@ -11,7 +11,6 @@ from sumkit.core import (
     DEFAULT_SIZES,
     LazySequence,
     ScheduleError,
-    SpaceTag,
     StatKind,
     TruncationSchedule,
     Verdict,
@@ -152,6 +151,7 @@ class TestSchedules:
         ("tol=-inf", "stabilization tolerance must be positive"),
         ("ratio=nan", "growth ratio must exceed 1"),
         ("ratio=-inf", "growth ratio must exceed 1"),
+        ("steps=0", "growth window needs at least 1 step"),
     ])
     def test_parse_rejects_non_finite_options(self, option, message):
         with pytest.raises(ScheduleError, match=f"^{message}$"):
@@ -236,56 +236,33 @@ def test_combine_conjunctive():
 
 
 class TestSpaceEvidence:
-    def test_ones_bounded(self):
-        v = space_evidence(ones(), SpaceTag.LINF, SCHED)
-        assert v.status is Verdict.HOLDS
-        assert v.trace[-1] == (256, 1)
-
-    def test_ones_not_summable(self):
-        v = space_evidence(ones(), SpaceTag.L1, SCHED)
-        assert v.status is Verdict.DIVERGENCE
-
-    def test_squares_summable(self):
-        v = space_evidence(powers(-2), SpaceTag.L1, SCHED)
-        assert v.status is Verdict.HOLDS
-        # exact partial sum at the deepest truncation, checked independently
-        want = sum(Fraction(1, k * k) for k in range(1, 257))
-        assert v.trace[-1] == (256, want)
-        assert float(want) == pytest.approx(math.pi**2 / 6, abs=4e-3)
-
-    def test_l1_trace_is_monotone(self):
-        v = space_evidence(alternating(), SpaceTag.L1, SCHED)
-        vals = [s for _, s in v.trace]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
-
     def test_finite_support_everywhere(self):
-        # total sum zero, so even the summing-to-zero tags hold
-        x = LazySequence.from_terms([3, -1, -2])
-        for tag in (SpaceTag.L1, SpaceTag.C0, SpaceTag.BS, SpaceTag.C0S,
-                    SpaceTag.CS, SpaceTag.C, SpaceTag.LINF):
-            v = space_evidence(x, tag, SCHED)
-            assert v.status is Verdict.HOLDS, tag
-
-    def test_nonzero_total_sum_fails_c0s(self):
-        x = LazySequence.from_terms([3, -1, 4])
-        assert space_evidence(x, SpaceTag.CS, SCHED).status is Verdict.HOLDS
-        assert space_evidence(x, SpaceTag.C0S, SCHED).status is not Verdict.HOLDS
-
-    def test_alternating_has_no_limit(self):
-        v = space_evidence(alternating(), SpaceTag.C, SCHED)
-        assert v.status is not Verdict.HOLDS
-
-    def test_harmonic_vanishes(self):
-        v = space_evidence(harmonic(), SpaceTag.C0, SCHED)
+        # total sum zero: the partial sums stop moving after three terms
+        v = space_evidence(LazySequence.from_terms([3, -1, -2]), SCHED)
         assert v.status is Verdict.HOLDS
+        assert v.trace == [(s, 0) for s in SCHED.sizes]
 
-    def test_ones_in_c_not_c0(self):
-        assert space_evidence(ones(), SpaceTag.C, SCHED).status is Verdict.HOLDS
-        assert space_evidence(ones(), SpaceTag.C0, SCHED).status is not Verdict.HOLDS
+    def test_nonzero_total_sum_is_in_cs(self):
+        x = LazySequence.from_terms([3, -1, 4])
+        assert space_evidence(x, SCHED).status is Verdict.HOLDS
 
     def test_partial_sums_of_geometric_converge(self):
-        v = space_evidence(geometric(Fraction(1, 2)), SpaceTag.CS, SCHED)
+        v = space_evidence(geometric(Fraction(1, 2)), SCHED)
         assert v.status is Verdict.HOLDS
+        # sums[s//2 : s] runs from S_{s/2+1} to S_s, and S_m = 1 - 2^-m
+        assert v.trace[0] == (16, Fraction(1, 2**9) - Fraction(1, 2**16))
+        assert v.witness is None
+        assert v.aux["space"] == "cs"
+
+    def test_alternating_partial_sums_oscillate(self):
+        v = space_evidence(alternating(), SCHED)
+        assert v.status is not Verdict.HOLDS
+        assert v.trace == [(s, 1) for s in SCHED.sizes]
+
+    def test_ones_partial_sums_diverge(self):
+        v = space_evidence(ones(), SCHED)
+        assert v.status is not Verdict.HOLDS
+        assert v.trace == [(s, s - s // 2 - 1) for s in SCHED.sizes]
 
 
 class TestScalarJson:
@@ -310,5 +287,7 @@ class TestScalarJson:
     def test_as_fraction_rejects_floats(self):
         with pytest.raises(TypeError):
             as_fraction(0.1)
+        with pytest.raises(TypeError, match="from list"):
+            as_fraction([1])
         assert as_fraction("2/3") == Fraction(2, 3)
         assert as_fraction(7) == Fraction(7)

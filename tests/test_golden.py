@@ -60,7 +60,11 @@ weights round to the same float; and five runs of paths no earlier
 digest reached: C21's row reads on the non-triangle ``expr:1/(n+k)^2``
 (table 2, ``--full``, bs into l1 at 8..64, in both modes), C16 held by
 an exact zero (exact l1 into c0s on ``difference`` at 8..64), an
-``expr:`` sequence in ``transform`` and ``;tail=`` specs in ``norm``.
+``expr:`` sequence in ``transform`` and ``;tail=`` specs in ``norm``; and
+the zero-coefficient skip of ``matrix_product``'s entry-wise rule: the exact
+table-5 reduction of ``taylor:1/2`` from c0 into int-bv under ``--u ones
+--w ones`` (at 8,16,32), where every off-diagonal coefficient of the bv
+triangle is zero.
 ``record_golden.record`` runs every
 command from the repository root, so that relative path (which the report
 prints) resolves the same way here and in the recorder.  The files that

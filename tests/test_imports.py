@@ -41,6 +41,39 @@ def test_a_third_party_import_is_caught():
     assert imported_modules(tree) - set(sys.stdlib_module_names) == {"numpy", "gmpy2"}
 
 
+# the standard-library modules the package imports at module level, pinned.
+# perfbench's ``setup_s`` times a fresh ``import sumkit.cli`` in a child
+# process whose exit is seen only at polls about 50 ms apart, and the import
+# ends close to one of them; ``dataclasses`` with what it imports takes about
+# 9 ms (``python -X importtime``, CPython 3.11 on a 2-vCPU VM), so one more
+# module can move ``setup_s`` by a whole poll.  Adding one is a visible edit
+STDLIB_IMPORTS = {"__future__", "argparse", "array", "bisect", "csv", "dataclasses",
+                  "decimal", "enum", "fractions", "functools", "itertools", "json",
+                  "math", "operator", "os", "re", "sys", "typing"}
+
+
+def module_level_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports among the statements of ``tree``."""
+    return imported_modules(ast.Module(
+        body=[node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))],
+        type_ignores=[]))
+
+
+def test_the_standard_library_imports_are_pinned():
+    names = set().union(*(module_level_imports(ast.parse(path.read_text(), filename=str(path)))
+                          for path in SOURCES))
+    assert names - {"sumkit"} == STDLIB_IMPORTS
+
+
+def test_an_added_standard_library_import_is_caught():
+    # a function-level import is not at module level
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from .core import ones\nimport random\n"
+                     "def f():\n    import json\n")
+    assert module_level_imports(tree) == {"__future__", "os", "random"}
+    assert module_level_imports(tree) - STDLIB_IMPORTS == {"random"}
+
+
 # the package's modules from the bottom up: each may import, at module level
 # or inside a function, only the modules before it; __init__.py, which
 # re-exports them all, is exempt

@@ -1,15 +1,15 @@
 """``space_evidence`` against a frozen copy of its earlier, one-branch-per-tag
-form: the same report (compared by ``repr``, so NaN compares too) or the
-same exception, for every tag, in exact and float mode, with infinities,
-NaN, signed zeros, huge and subnormal floats."""
+form, restricted to cs (the one space it still judges): the same report
+(compared by ``repr``, so NaN compares too) or the same exception, in exact
+and float mode, with infinities, NaN, signed zeros, huge and subnormal
+floats."""
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
-from sumkit.core import (ConditionVerdict, LazySequence, SpaceTag, StatKind,
+from sumkit.core import (ConditionVerdict, LazySequence, StatKind,
                          TruncationSchedule, _to_float, judge_trace, space_evidence)
 
 
@@ -17,11 +17,9 @@ def _osc(window):
     return max(window) - min(window)
 
 
-def frozen_space_evidence(x: LazySequence, tag: SpaceTag,
-                          sched: TruncationSchedule) -> ConditionVerdict:
+def frozen_space_evidence(x: LazySequence, sched: TruncationSchedule) -> ConditionVerdict:
     n_max = sched.max_size
     xs = x.prefix(n_max)
-    abs_xs = [abs(v) for v in xs]
     sums = []
     acc = x.zero()
     for v in xs:
@@ -30,65 +28,17 @@ def frozen_space_evidence(x: LazySequence, tag: SpaceTag,
     abs_sums = [abs(s) for s in sums]
 
     trace = []
-    witness: Optional[dict] = None
-    if tag is SpaceTag.L1:
-        kind = StatKind.SUP
-        acc = x.zero()
-        stats = []
-        for i, v in enumerate(abs_xs, start=1):
-            acc = acc + v
-            stats.append(acc)
-        for s in sched.sizes:
-            trace.append((s, stats[s - 1]))
-        prev = None
-        for s, v in trace:
-            if prev is not None and v < prev:
-                raise AssertionError("L1 statistic must be non-decreasing")
-            prev = v
-    elif tag is SpaceTag.LINF:
-        kind = StatKind.SUP
-        for s in sched.sizes:
-            window = abs_xs[:s]
-            m = max(window)
-            trace.append((s, m))
-        witness = {"index": 1 + abs_xs[:n_max].index(max(abs_xs[:n_max]))}
-    elif tag is SpaceTag.BS:
-        kind = StatKind.SUP
-        for s in sched.sizes:
-            trace.append((s, max(abs_sums[:s])))
-        witness = {"index": 1 + abs_sums.index(max(abs_sums))}
-        prev = None
-        for s, v in trace:
-            if prev is not None and v < prev:
-                raise AssertionError("BS statistic must be non-decreasing")
-            prev = v
-    elif tag in (SpaceTag.C, SpaceTag.C0):
-        kind = StatKind.DEFECT
-        for s in sched.sizes:
-            window = xs[s // 2: s]
-            d = _osc(window)
-            if tag is SpaceTag.C0:
-                mag = max(abs_xs[s // 2: s])
-                d = max(d, mag)
-            trace.append((s, d))
-    else:
-        kind = StatKind.DEFECT
-        for s in sched.sizes:
-            window = sums[s // 2: s]
-            d = _osc(window)
-            if tag is SpaceTag.C0S:
-                mag = max(abs_sums[s // 2: s])
-                d = max(d, mag)
-            trace.append((s, d))
+    kind = StatKind.DEFECT
+    for s in sched.sizes:
+        window = sums[s // 2: s]
+        d = _osc(window)
+        trace.append((s, d))
 
-    if tag in (SpaceTag.L1, SpaceTag.LINF, SpaceTag.C, SpaceTag.C0):
-        scale = max(1.0, max((_to_float(v) for v in abs_xs), default=1.0))
-    else:
-        scale = max(1.0, max((_to_float(v) for v in abs_sums), default=1.0))
+    scale = max(1.0, max((_to_float(v) for v in abs_sums), default=1.0))
 
     status, routes = judge_trace([v for _, v in trace], kind, sched, scale=scale)
-    aux = {"space": tag.value, "routes": routes}
-    return ConditionVerdict(status=status, trace=trace, witness=witness, aux=aux)
+    aux = {"space": "cs", "routes": routes}
+    return ConditionVerdict(status=status, trace=trace, witness=None, aux=aux)
 
 
 SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e308, 5e-324, -5e-324]
@@ -106,9 +56,9 @@ schedules = st.builds(
     st.sets(st.integers(1, 80), min_size=3, max_size=6), st.integers(1, 3))
 
 
-def outcome(evidence, x, tag, sched) -> str:
+def outcome(evidence, x, sched) -> str:
     try:
-        return repr(evidence(x, tag, sched).to_dict())
+        return repr(evidence(x, sched).to_dict())
     except Exception as exc:  # the exception is part of the behaviour compared
         return f"{type(exc).__name__}: {exc}"
 
@@ -120,19 +70,16 @@ def periodic(terms: list, exact: bool) -> LazySequence:
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(exact_terms.map(lambda t: (t, True)), float_terms.map(lambda t: (t, False))),
-       st.sampled_from(list(SpaceTag)), schedules)
-def test_matches_the_frozen_form(case, tag, sched):
+       schedules)
+def test_matches_the_frozen_form(case, sched):
     terms, exact = case
     x = periodic(terms, exact)
-    assert outcome(space_evidence, x, tag, sched) == \
-        outcome(frozen_space_evidence, x, tag, sched)
+    assert outcome(space_evidence, x, sched) == outcome(frozen_space_evidence, x, sched)
 
 
-def test_the_specials_reach_every_tag():
+def test_the_specials_match_the_frozen_form():
     sched = TruncationSchedule((4, 8, 16))
-    for tag in SpaceTag:
-        for terms in ([math.nan, 1.0], [1.0, math.nan], [math.inf, -math.inf],
-                      [-0.0, 5e-324], [1e308, 1e308, -1e308]):
-            x = periodic(terms, False)
-            assert outcome(space_evidence, x, tag, sched) == \
-                outcome(frozen_space_evidence, x, tag, sched)
+    for terms in ([math.nan, 1.0], [1.0, math.nan], [math.inf, -math.inf],
+                  [-0.0, 5e-324], [-0.0, -0.0], [1e308, 1e308, -1e308]):
+        x = periodic(terms, False)
+        assert outcome(space_evidence, x, sched) == outcome(frozen_space_evidence, x, sched)

@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from sumkit.core import (
+    ConditionVerdict,
     LazySequence,
-    SpaceTag,
+    StatKind,
     TruncationSchedule,
     Verdict,
     geometric,
     harmonic,
+    judge_trace,
     ones,
     powers,
-    space_evidence,
     zeros,
 )
 from sumkit.errors import UnsupportedSpaceError
@@ -82,12 +83,14 @@ class TestNorms:
 
 
 def _membership(space, x):
-    """l1 evidence for T x, T the space's triangle, with its trace checked
-    against the domain norm at every size."""
-    v = space_evidence(apply_triangle(space.triangle, x), SpaceTag.L1, SCHED)
-    for n, stat in v.trace:
-        assert stat == domain_norm(space, x, n), n
-    return v
+    """The domain norm of x, judged as a SUP trace over the schedule, with
+    each norm checked against the l1 norm of T x, T the space's triangle."""
+    y = apply_triangle(space.triangle, x)
+    trace = [(n, domain_norm(space, x, n)) for n in SCHED.sizes]
+    for n, norm in trace:
+        assert norm == sum(abs(v) for v in y.prefix(n)), n
+    status, _ = judge_trace([v for _, v in trace], StatKind.SUP, SCHED)
+    return ConditionVerdict(status=status, trace=trace)
 
 
 class TestMembership:
