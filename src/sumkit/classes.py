@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (_VERDICT_RANK, ConditionVerdict, LazySequence, Scalar, SpaceTag,
                    StatKind, TruncationSchedule, Verdict, _growth_window, _to_float,
@@ -492,8 +491,7 @@ _DOMAIN_SOURCE_TABLES = {entry.endpoint: number for number, entry in _TABLES.ite
                          if entry.side == "out of" and entry.transform is not TransformTag.NONE}
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     table: int
     transform: TransformTag
     conditions: tuple[tuple[ConditionId, bool], ...]
@@ -535,8 +533,7 @@ def _as_tag(name: str) -> Optional[SpaceTag]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositeTarget:
+class CompositeTarget(NamedTuple):
     """The bounded-domain space of a classical matrix as a target: membership
     is checked by composing the generator on the target side and asking for
     boundedness."""
@@ -560,8 +557,7 @@ class CompositeTarget:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
     source: str
     target: str
     table: int
@@ -569,7 +565,7 @@ class ClassReport:
     conditions: list[tuple[ConditionId, bool, ConditionVerdict]]
     overall: Verdict
     beta_prerequisite: Optional[ConditionVerdict] = None
-    notes: list[str] = field(default_factory=list)
+    notes: Sequence[str] = ()
     # the matrix the conditions ran on; not part of the rendered report
     condition_matrix: Optional[TriangleOperator] = None
 

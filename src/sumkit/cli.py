@@ -18,8 +18,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple, Sequence
 
 from .core import (LazySequence, SpaceTag, TruncationSchedule, Verdict, scalar_to_json,
                    _to_float)
@@ -55,14 +55,13 @@ _CLASSICAL_TARGETS = {tag.value for tag in SpaceTag} | set(_SPACES)
 _COUNT_FLAGS = ("n", "k", "row_bound")
 
 
-@dataclass
-class _CommandResult:
+class _CommandResult(NamedTuple):
     inputs: dict
     outputs: dict
     status: str
     method: dict
-    warnings: list = field(default_factory=list)
-    traces: dict = field(default_factory=dict)
+    warnings: Sequence[str] = ()
+    traces: dict = {}  # one dict shared by every result that passes none; only read
     matrix_for_csv: object = None
 
 

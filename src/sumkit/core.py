@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import ScheduleError
 
@@ -265,8 +264,14 @@ _SCHEDULE_OPTIONS = {"tol": ("stabilization_tol", float), "ratio": ("growth_rati
                      "steps": ("growth_steps", int)}
 
 
-@dataclass(frozen=True)
-class TruncationSchedule:
+class _ScheduleFields(NamedTuple):
+    sizes: tuple[int, ...]
+    stabilization_tol: float
+    growth_ratio: float
+    growth_steps: int
+
+
+class TruncationSchedule(_ScheduleFields):
     """Increasing evaluation sizes plus the decision thresholds.
 
     ``stabilization_tol`` is relative (with an absolute floor of 1 on the
@@ -276,30 +281,33 @@ class TruncationSchedule:
     every trace stable, and an infinite ratio switches every growth window off.
     """
 
-    sizes: tuple[int, ...] = DEFAULT_SIZES
-    stabilization_tol: float = 1e-9
-    growth_ratio: float = 1.5
-    growth_steps: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
+    def __new__(cls, sizes: Iterable[int] = DEFAULT_SIZES, stabilization_tol: float = 1e-9,
+                growth_ratio: float = 1.5, growth_steps: int = 3):
+        sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 3:
             raise ScheduleError("a truncation schedule needs at least 3 sizes")
         if any(s < 1 for s in sizes):
             raise ScheduleError("schedule sizes must be positive")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ScheduleError("schedule sizes must be strictly increasing")
-        if not (self.stabilization_tol > 0):
+        if not (stabilization_tol > 0):
             raise ScheduleError("stabilization tolerance must be positive")
-        if not math.isfinite(self.stabilization_tol):
+        if not math.isfinite(stabilization_tol):
             raise ScheduleError("stabilization tolerance must be finite")
-        if not (self.growth_ratio > 1):
+        if not (growth_ratio > 1):
             raise ScheduleError("growth ratio must exceed 1")
-        if not math.isfinite(self.growth_ratio):
+        if not math.isfinite(growth_ratio):
             raise ScheduleError("growth ratio must be finite")
-        if self.growth_steps < 1:
+        if growth_steps < 1:
             raise ScheduleError("growth window needs at least 1 step")
+        return super().__new__(cls, sizes, stabilization_tol, growth_ratio, growth_steps)
+
+    @classmethod
+    def _make(cls, iterable) -> "TruncationSchedule":
+        # the inherited _make, which _replace calls, skips __new__ and its checks
+        return cls(*iterable)
 
     @property
     def max_size(self) -> int:
@@ -307,9 +315,7 @@ class TruncationSchedule:
 
     def doubled(self) -> "TruncationSchedule":
         """The same schedule with one extra doubling appended."""
-        return TruncationSchedule(self.sizes + (self.sizes[-1] * 2,),
-                                  self.stabilization_tol, self.growth_ratio,
-                                  self.growth_steps)
+        return self._make((self.sizes + (self.max_size * 2,), *self[1:]))
 
     @classmethod
     def parse(cls, text: str) -> "TruncationSchedule":
@@ -337,12 +343,7 @@ class TruncationSchedule:
         return cls(sizes, **options)
 
     def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "stabilization_tol": self.stabilization_tol,
-            "growth_ratio": self.growth_ratio,
-            "growth_steps": self.growth_steps,
-        }
+        return {**self._asdict(), "sizes": list(self.sizes)}
 
 
 class Verdict(Enum):
@@ -363,15 +364,14 @@ def combine_conjunctive(statuses: Iterable[Verdict]) -> Verdict:
     return worst
 
 
-@dataclass
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     """Outcome of evaluating one statistic over a truncation schedule."""
 
     status: Verdict
     trace: list[tuple[int, Scalar]]
     witness: Optional[dict] = None
     limit_estimates: Optional[dict] = None
-    aux: dict = field(default_factory=dict)
+    aux: dict = {}  # one dict shared by every verdict that passes none; only read
 
     def to_dict(self) -> dict:
         doc = {

@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (LazySequence, TruncationSchedule, alternating, geometric, harmonic,
                    ones, powers, zeros)
@@ -263,11 +262,10 @@ def parse_weight_spec(text: str) -> tuple[LazySequence, str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MatrixSpec:
+class MatrixSpec(NamedTuple):
     operator: TriangleOperator
     canonical: str
-    notes: list[str] = field(default_factory=list)
+    notes: Sequence[str] = ()
 
 
 def parse_family_spec(text: str) -> Optional[tuple[str, object, str]]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
@@ -33,7 +32,6 @@ from .errors import InvalidWeightError, SingularTriangleError, UnsupportedRowErr
 Ratio = Callable[[int, int], Scalar]
 
 
-@dataclass
 class WeightPair:
     """A pair (u, w) of everywhere-nonzero weight sequences.
 
@@ -44,11 +42,20 @@ class WeightPair:
     again on the next access.
     """
 
-    u: LazySequence
-    w: LazySequence
-    _w_diffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _recip_diffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pairing: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("u", "w", "_w_diffs", "_recip_diffs", "_pairing")
+
+    def __init__(self, u: LazySequence, w: LazySequence):
+        self.u = u
+        self.w = w
+        self._w_diffs: dict[int, Scalar] = {}
+        self._recip_diffs: dict[int, Scalar] = {}
+        self._pairing: dict[bool, tuple[list, list]] = {}
+
+    def __eq__(self, other):
+        # the kept terms follow from (u, w); defining __eq__ leaves the pair unhashable
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.u, self.w) == (other.u, other.w)
 
     @property
     def exact(self) -> bool:

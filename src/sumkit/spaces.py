@@ -9,8 +9,8 @@ l1 through the triangle and its closed-form inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import LazySequence, Scalar, space_evidence
 from .errors import UnsupportedSpaceError
@@ -24,8 +24,7 @@ class SpaceName(Enum):
     D_BV = "d-bv"
 
 
-@dataclass
-class DomainSpace:
+class DomainSpace(NamedTuple):
     """A domain space: its name, weights, and the defining triangle."""
 
     name: SpaceName

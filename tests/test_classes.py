@@ -98,6 +98,10 @@ class TestRecipes:
         assert r.transform is TransformTag.REDUCE_TARGET_D_BV
         assert [c for c, _ in r.conditions] == [ConditionId.C23]
 
+    def test_recipes_are_values(self):
+        a, b = table_recipe(1, "l1", "c"), table_recipe(1, "l1", "c")
+        assert a == b and hash(a) == hash(b)
+
     def test_uncovered_pairs_are_reported(self):
         with pytest.raises(UnsupportedClassError) as exc:
             table_recipe(1, "linf", "c")
@@ -396,6 +400,12 @@ class TestCompositeTargets:
         assert rep.table == 3
         assert rep.overall is Verdict.HOLDS
         assert any("composite" in note for note in rep.notes)
+
+    def test_composite_targets_are_values(self):
+        a, b = CompositeTarget("euler", Fraction(1, 2)), CompositeTarget("euler", Fraction(1, 2))
+        assert a == b and hash(a) == hash(b)
+        # an unsupported-class error names a composite source by this form, lowercased
+        assert str(a) == "CompositeTarget(family='euler', param=Fraction(1, 2))"
 
     def test_a_composite_target_needs_weights(self):
         with pytest.raises(UnsupportedClassError, match="weights required"):

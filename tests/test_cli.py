@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -741,9 +742,13 @@ class TestErrorsAndVersion:
         assert capsys.readouterr().err == f"sumkit: {line}\n"
 
     def test_version_exits_zero(self, capsys):
+        # the --version action, the package and pyproject.toml (read without
+        # tomllib, which CPython 3.10 lacks) give one version string
         code, _ = run_cli("--version")
         assert code == 0
-        assert "sumkit" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"sumkit {sumkit.__version__}\n"
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert re.findall(r'(?m)^version = "(.*)"$', pyproject) == [sumkit.__version__]
 
     def test_one_parser_serves_every_call(self, capsys):
         # run keeps one parser for the process; a parse that exits or fails

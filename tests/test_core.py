@@ -157,6 +157,23 @@ class TestSchedules:
         with pytest.raises(ScheduleError, match=f"^{message}$"):
             TruncationSchedule.parse("16,32,64;" + option)
 
+    def test_a_schedule_is_an_immutable_value(self):
+        sched = TruncationSchedule([8.0, 16, 32])
+        assert sched.sizes == (8, 16, 32)
+        assert [type(s) for s in sched.sizes] == [int, int, int]
+        assert sched == TruncationSchedule.parse("8,16,32")
+        assert hash(sched) == hash(TruncationSchedule.parse("8,16,32"))
+        with pytest.raises(AttributeError):
+            sched.sizes = (1, 2, 3)
+
+    def test_replace_checks_the_fields(self):
+        # the inherited _make, which _replace calls, builds the tuple directly
+        with pytest.raises(ScheduleError, match="^growth window needs at least 1 step$"):
+            SCHED._replace(growth_steps=0)
+        with pytest.raises(ScheduleError, match="^schedule sizes must be strictly increasing$"):
+            TruncationSchedule._make([(8, 8, 16), 1e-9, 1.5, 3])
+        assert SCHED._replace(growth_steps=2) == TruncationSchedule(DEFAULT_SIZES, growth_steps=2)
+
     def test_doubled(self):
         assert SCHED.doubled().sizes == (16, 32, 64, 128, 256, 512)
         assert SCHED.doubled().stabilization_tol == SCHED.stabilization_tol

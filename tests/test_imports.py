@@ -5,6 +5,8 @@ no entry-by-entry walks, no unused imports, no definition that nothing in
 the package reads."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,14 +44,30 @@ def test_a_third_party_import_is_caught():
 
 
 # the standard-library modules the package imports at module level, pinned.
-# perfbench's ``setup_s`` times a fresh ``import sumkit.cli`` in a child
-# process whose exit is seen only at polls about 50 ms apart, and the import
-# ends close to one of them; ``dataclasses`` with what it imports takes about
-# 9 ms (``python -X importtime``, CPython 3.11 on a 2-vCPU VM), so one more
-# module can move ``setup_s`` by a whole poll.  Adding one is a visible edit
-STDLIB_IMPORTS = {"__future__", "argparse", "array", "bisect", "csv", "dataclasses",
+# perfbench's ``setup_s`` times a fresh ``import sumkit.cli`` under
+# ``subprocess.run(..., timeout=60)``, which sees the child exit only at polls
+# near 63, 113 and 163 ms.  Where the environment sets PYTHONDONTWRITEBYTECODE=1
+# (the child inherits it), every such import compiles the package again:
+# ``compile()`` of the sources takes about 24 ms in all (classes 5.4 ms,
+# operators 5.0, core 4.1, cli 3.7, minilang 2.7, duals 2.3; best of 15,
+# CPython 3.11 on a 2-vCPU VM), and a module that pulls in more adds their
+# load time too (``dataclasses`` brings ``inspect``, ``ast``, ``dis`` and
+# ``tokenize``).  So one more module can move ``setup_s`` by a whole poll;
+# adding one is a visible edit
+STDLIB_IMPORTS = {"__future__", "argparse", "array", "bisect", "csv",
                   "decimal", "enum", "fractions", "functools", "itertools", "json",
                   "math", "operator", "os", "re", "sys", "typing"}
+
+
+def test_importing_the_cli_generates_no_code():
+    # ``dataclasses`` compiles the methods it writes for each class, and it
+    # imports ``inspect``, which brings ``ast``, ``dis`` and ``tokenize``
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, sumkit.cli; print(sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(SOURCES[0].parents[1])},
+        capture_output=True, text=True, check=True).stdout
+    loaded = set(ast.literal_eval(out)) & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded, f"import sumkit.cli loads {sorted(loaded)}"
 
 
 def module_level_imports(tree: ast.Module) -> set[str]:
