@@ -93,23 +93,23 @@ def reduce_source_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
     return _reduce_source(A, wp, integrated=False)
 
 
-def _reduce_target(A: TriangleOperator, T: TriangleOperator, name: str) -> TriangleOperator:
-    """T A for the bv triangle T: ``MeanRows.product`` of its declared rows
-    for a strict A in either mode, ``matrix_product`` for infinite rows."""
-    label = f"{name}({A.label})"
-    if A.kind is not TriangleKind.STRICT_TRIANGLE:
-        return matrix_product(T, A, label=label)
-    return T.mean.product(A, T.exact and A.exact, label)
+def _compose(G: TriangleOperator, A: TriangleOperator, label: str,
+             row_bound: Optional[int] = None) -> TriangleOperator:
+    """G A on the target side: the declared rows of G (``MeanRows.product``)
+    for a strict A, else ``matrix_product`` with G's rows cut at ``row_bound``."""
+    if G.mean is not None and A.kind is TriangleKind.STRICT_TRIANGLE:
+        return G.mean.product(A, G.exact and A.exact, label)
+    return matrix_product(G, A, left_row_bound=row_bound, label=label)
 
 
 def reduce_target_int_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
     """Compose the integrated triangle on the target side (product T A)."""
-    return _reduce_target(A, integrated_triangle(wp), "reduce-target-int-bv")
+    return _compose(integrated_triangle(wp), A, f"reduce-target-int-bv({A.label})")
 
 
 def reduce_target_d_bv(A: TriangleOperator, wp: WeightPair) -> TriangleOperator:
     """Compose the differentiated triangle on the target side (product T A)."""
-    return _reduce_target(A, differentiated_triangle(wp), "reduce-target-d-bv")
+    return _compose(differentiated_triangle(wp), A, f"reduce-target-d-bv({A.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +643,13 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
     CompositeTarget; domain endpoints need ``wp``.  ``table`` forces a
     specific recipe table instead of inferring one from the endpoints.
 
-    A composite target composes its generator G with ``A`` (Taylor
-    generators need ``row_bound``, which no other target accepts; a float
-    ``A`` meets the float rows of G) and asks whether G A maps
-    the domain source into linf, under the table out of that source.
-    Every class then runs one sequence: the recipe, the reduction, the
-    battery and, out of a domain space, the beta prerequisite on the rows
-    of the (composed) matrix.
+    A composite target composes its generator G with ``A`` as tables 5 and 6
+    compose theirs (``_compose``; Taylor generators need ``row_bound``, which
+    no other target accepts; a float ``A`` meets the float rows of G) and
+    asks whether G A maps the domain source into linf, under the table out
+    of that source.  Every class then runs one sequence: the recipe, the
+    reduction, the battery and, out of a domain space, the beta prerequisite
+    on the rows of the (composed) matrix.
     """
     if sched is None:
         sched = TruncationSchedule()
@@ -678,7 +678,7 @@ def characterize(A: TriangleOperator, source, target, wp: Optional[WeightPair] =
             # its float rows hold the bits the product would round each
             # exact entry to
             G = G.as_float()
-        A = matrix_product(G, A, left_row_bound=row_bound, label=f"{G.label}*{A.label}")
+        A = _compose(G, A, f"{G.label}*{A.label}", row_bound)
         free = SpaceTag.LINF
         notes.append("composite target: generator composed on the target side, "
                      "then the bounded-target recipe applied")

@@ -331,13 +331,13 @@ def _csv_matrix(path: str) -> MatrixSpec:
         raise SpecParseError(f"csv matrix {path!r} has no rows")
     count = len(rows)
 
-    def rule(n: int, k: int) -> Fraction:
-        if n <= count and k <= len(rows[n - 1]):
-            return rows[n - 1][k - 1]
-        return Fraction(0)
+    def build_row(n: int) -> list[Fraction]:
+        # evaluating a parsed cell cannot fail, so the row is built whole,
+        # cut at the diagonal; a row past the file is empty, its cells 0
+        return rows[n - 1][:n] if n <= count else []
 
-    op = TriangleOperator(rule, kind=TriangleKind.STRICT_TRIANGLE, exact=True,
-                          label=f"csv:{path}")
+    op = TriangleOperator(build_row=build_row, kind=TriangleKind.STRICT_TRIANGLE,
+                          exact=True, label=f"csv:{path}")
     note = (f"csv matrix has {count} explicit rows; entries outside them are 0")
     return MatrixSpec(op, f"csv:{path}", [note])
 

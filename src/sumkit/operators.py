@@ -222,8 +222,8 @@ class TriangleOperator:
     reads each cell back bit for bit as a fresh float; a row of one nonzero
     value is kept as one value and its length, and reads give that value.
     Every finite-row matrix sumkit constructs is row-built.  An entry rule
-    is memoized entry by entry; it serves only spec rules whose read order
-    is the contract (``expr:``, ``csv:``) and infinite rows (``taylor:``,
+    is memoized entry by entry; it serves only the ``expr:`` rule, whose
+    read order is the contract, and infinite rows (``taylor:``,
     ``expr: --full``, products whose right factor has such rows).
 
     ``row(n, upto, start)`` is the one read of consecutive cells.
@@ -357,9 +357,9 @@ class TriangleOperator:
 
             return TriangleOperator(build_row=build_row, kind=self.kind,
                                     row_support=self.row_support, exact=False, label=label)
-        # only spec rules (expr:, csv:) and infinite rows (taylor:) are
-        # rule-based; they stay entry by entry, as the order entries are read
-        # in decides the first error an ill-defined rule raises
+        # only expr: and infinite rows (taylor:) are rule-based; they stay
+        # entry by entry, as the order entries are read in decides the first
+        # error an ill-defined rule raises
         return TriangleOperator(lambda n, k: checked_float(rule(n, k), "entry", (n, k), name),
                                 kind=self.kind, row_support=self.row_support,
                                 exact=False, label=label)
@@ -408,8 +408,8 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
     """The matrix transform ``y = T x`` as a lazy sequence.
 
     An operator that declares its rows (``mean``) applies by its
-    recurrence, whatever the mode of ``x``.  Otherwise term n sums row n
-    entry by entry in ascending k: strict triangles sum their finite rows;
+    recurrence, whatever the mode of ``x``.  Otherwise term n reads row n
+    once and sums it in ascending k: strict triangles sum their finite rows;
     row-evaluable matrices use the declared row support, falling back to
     ``row_bound`` when given, and raise UnsupportedRowError otherwise.
     """
@@ -419,8 +419,8 @@ def apply_triangle(T: TriangleOperator, x: LazySequence,
 
     def rule(n: int) -> Scalar:
         total = Fraction(0) if exact else 0.0
-        for k in range(1, T.extent(n, row_bound) + 1):
-            total += T.entry(n, k) * x.at(k)
+        for k, v in enumerate(T.row(n, T.extent(n, row_bound)), 1):
+            total += v * x.at(k)
         return total
 
     return LazySequence(rule, exact=exact, label=f"{T.label}*{x.label}")
@@ -657,7 +657,9 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
     declared, else up to ``left_row_bound``; a row-evaluable left factor
     without either raises UnsupportedRowError at evaluation time.  With a
     strict ``R`` the product is built row by row, reading each row of ``L``
-    and of ``R`` once; otherwise (``R`` with infinite rows) entry by entry.
+    and of ``R`` once; otherwise (``R`` with infinite rows) entry by entry,
+    reading row n of ``L`` and column k of ``R``.  It reads its factors only
+    through ``row`` and ``entry``: the generic oracle of ``classes._compose``.
     """
     exact = L.exact and R.exact
     left_strict = L.kind is TriangleKind.STRICT_TRIANGLE
@@ -681,9 +683,8 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
 
     if right_strict:
         # row j of R: its nonzero (k-1, R(j,k)) pairs when at most half of
-        # the row is nonzero, else the dense row.  A float row-built R hands
-        # out a fresh float per cell, so its dense row is kept packed; an
-        # exact or rule-based R hands out the values it keeps
+        # the row is nonzero, else the dense row, packed as an array('d') in
+        # float mode, as ``row`` hands out a fresh float per cell
         right_rows: dict[int, tuple[Optional[list], Optional[list]]] = {}
 
         def build_row(n: int) -> list[Scalar]:
@@ -702,10 +703,8 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
                     nonzero = [(i, r) for i, r in enumerate(rrow) if r != 0]
                     if 2 * len(nonzero) <= j:
                         right = nonzero, None
-                    elif exact or R._rows is None:
-                        right = None, rrow
                     else:
-                        right = None, array("d", rrow)
+                        right = None, rrow if exact else array("d", rrow)
                     right_rows[j] = right
                 nonzero, dense = right
                 if nonzero is not None and (exact or math.isfinite(lv)):
@@ -720,11 +719,9 @@ def matrix_product(L: TriangleOperator, R: TriangleOperator, *,
 
     def rule(n: int, k: int) -> Scalar:
         total = zero
-        for j in range(1, L.extent(n, left_row_bound) + 1):
-            lv = L.entry(n, j)
-            if lv == 0:
-                continue
-            total += lv * R.entry(j, k)
+        for j, lv in enumerate(L.row(n, L.extent(n, left_row_bound)), 1):
+            if lv != 0:
+                total += lv * R.entry(j, k)
         return total
 
     return TriangleOperator(rule, kind=kind, row_support=row_support, exact=exact,

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from sumkit.classes import (
     table_recipe,
     verify_reduction_roundtrip,
 )
-from sumkit.minilang import parse_matrix_spec, parse_weight_spec
+from sumkit.minilang import parse_family_spec, parse_matrix_spec, parse_weight_spec
 from sumkit.operators import (
     TriangleKind,
     TriangleOperator,
@@ -444,6 +445,25 @@ class TestCompositeTargets:
         for n in range(1, 65):
             assert repr(got.row(n, n)) == repr(want.row(n, n)), n
 
+    @pytest.mark.parametrize("generator, by_product", [
+        ("cesaro", False), ("riesz:harmonic", False), ("euler:1/3", True)])
+    def test_an_exact_generator_that_declares_its_rows_composes_by_them(
+            self, generator, by_product, monkeypatch):
+        # an exact Riesz or Cesàro generator runs its recurrence, an Euler
+        # one the product (a float generator takes the product, above)
+        products = []
+
+        def spy(G, A, **kwargs):
+            products.append(G.label)
+            return matrix_product(G, A, **kwargs)
+
+        monkeypatch.setattr(classes, "matrix_product", spy)
+        name, param, _ = parse_family_spec(generator)
+        characterize(euler_matrix(Fraction(1, 2)), "int-bv", CompositeTarget(name, param),
+                     WeightPair(harmonic(), ones()), TruncationSchedule(sizes=(8, 16, 32)),
+                     beta_row_limit=2)
+        assert len(products) == by_product
+
     def test_composite_needs_domain_source(self):
         with pytest.raises(UnsupportedClassError):
             characterize(identity_matrix(), "l1", CompositeTarget("cesaro"),
@@ -453,6 +473,72 @@ class TestCompositeTargets:
         with pytest.raises(UnsupportedClassError):
             characterize(identity_matrix(), "int-bv", CompositeTarget("cesaro"),
                          WP_ONES, SMALL, table=5)
+
+
+CSV_MATRIX = f"csv:{Path(__file__).parent / 'lower_triangle.csv'}"
+COMPOSITE_NOTE = ("composite target: generator composed on the target side, "
+                  "then the bounded-target recipe applied")
+
+
+def _composite_and_product(generator: str, matrix: str, source: str) -> tuple:
+    """Two runs on exact inputs parsed afresh: ``matrix`` into the bounded
+    domain of ``generator``, and ``matrix_product(G, A)`` into linf under
+    the table the composite takes out of ``source``."""
+    name, param, _ = parse_family_spec(generator)
+    target = CompositeTarget(name, param)
+    table = {"int-bv": 3, "d-bv": 4}[source]
+
+    def run(composite: bool) -> ClassReport:
+        A = parse_matrix_spec(matrix).operator
+        wp = WeightPair(parse_weight_spec("harmonic")[0], parse_weight_spec("power:-1")[0])
+        if composite:
+            return characterize(A, source, target, wp, SMALL, beta_row_limit=6)
+        return characterize(matrix_product(target.generator(), A), source, "linf", wp,
+                            SMALL, table=table, beta_row_limit=6)
+
+    return lambda: run(True), lambda: run(False)
+
+
+class TestCompositeOracle:
+    # the README's contract: a composite target checks G A into linf under
+    # the table out of its source, and matrix_product(G, A) is G A
+
+    @pytest.mark.parametrize("source", ["int-bv", "d-bv"])
+    @pytest.mark.parametrize("matrix", ["cesaro", "euler:1/3", "identity",
+                                        "expr:(n-2*k)/(n+k)", CSV_MATRIX],
+                             ids=["cesaro", "euler:1/3", "identity", "expr", "csv"])
+    @pytest.mark.parametrize("generator", ["cesaro", "riesz:harmonic", "riesz:power:-1",
+                                           "riesz:1,3,2"])
+    def test_exact_composite_equals_the_product_into_linf(self, generator, matrix, source):
+        composite, reference = (run() for run in _composite_and_product(generator, matrix,
+                                                                         source))
+        assert composite.table == reference.table
+        assert COMPOSITE_NOTE in composite.notes
+        docs = [rep.to_dict() for rep in (composite, reference)]
+        for doc in docs:
+            del doc["target"]
+            doc["notes"] = [note for note in doc["notes"] if note != COMPOSITE_NOTE]
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("generator, matrix, line", [
+        ("cesaro", "expr:1/((n-5)^2+(k-3)^2)",
+         "expression '1/((n-5)^2+(k-3)^2)' divides by zero at n=5, k=3"),
+        ("riesz:harmonic", "expr:1/((n-5)^2+(k-3)^2)",
+         "expression '1/((n-5)^2+(k-3)^2)' divides by zero at n=5, k=3"),
+        ("riesz:1,3,-2", "euler:1/3", "weight t[3] must be positive for a Riesz matrix"),
+        # the weight at 3 fails before row 5 of A is read ...
+        ("riesz:1,3,-2", "expr:1/((n-5)^2+(k-3)^2)",
+         "weight t[3] must be positive for a Riesz matrix"),
+        # ... and row 5 of A before the weight at 7
+        ("riesz:1,1,1,1,1,1,0,1", "expr:1/((n-5)^2+(k-3)^2)",
+         "expression '1/((n-5)^2+(k-3)^2)' divides by zero at n=5, k=3"),
+    ])
+    @pytest.mark.parametrize("source", ["int-bv", "d-bv"])
+    def test_an_ill_defined_input_fails_alike(self, generator, matrix, line, source):
+        for run in _composite_and_product(generator, matrix, source):
+            with pytest.raises((InvalidWeightError, ZeroDivisionError)) as exc:
+                run()
+            assert str(exc.value) == line
 
 
 class TestReductionRoundtrip:

@@ -171,10 +171,19 @@ def test_a_sum_call_is_caught():
     assert builtin_sum_calls(tree) == [1]
 
 
-# the one entry-wise walk left outside operators.py, which defines ``row``
-# and the entry rules it falls back to: the roundtrip reads each row
-# descending, then ascending, as a fresh evaluation would
-ENTRY_WALKS_ALLOWED = {"reduction_roundtrip_sides"}
+# the entry-wise walks that stay, by module and top-level definition
+ENTRY_WALKS_ALLOWED = {
+    # the roundtrip reads each row descending, then ascending, as a fresh
+    # evaluation would
+    ("classes.py", "reduction_roundtrip_sides"),
+    # ``row`` falls back to an entry rule one cell at a time
+    ("operators.py", "TriangleOperator"),
+    # back-substitution reads the diagonal first, so ``inverse --matrix
+    # expr:1/(n-3)`` names k=3 (test_first_error_is_the_first_bad_entry_read)
+    ("operators.py", "invert_triangle"),
+    # the entry-wise product rule reads R down a column
+    ("operators.py", "matrix_product"),
+}
 
 
 def entry_calls(tree: ast.Module) -> list[tuple[str, int]]:
@@ -188,13 +197,28 @@ def entry_calls(tree: ast.Module) -> list[tuple[str, int]]:
     return calls
 
 
-@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "operators.py"],
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_cells_are_read_by_rows(path):
     # consecutive cells come from one ``row(n, upto, start)`` read
     tree = ast.parse(path.read_text(), filename=str(path))
-    walks = [call for call in entry_calls(tree) if call[0] not in ENTRY_WALKS_ALLOWED]
+    walks = [call for call in entry_calls(tree)
+             if (path.name, call[0]) not in ENTRY_WALKS_ALLOWED]
     assert not walks, f"{path.name} reads entries one by one at {walks}"
+
+
+# the classes that keep cells: every other definition reads them through
+# ``row``, ``entry`` or ``at``, whatever keeps them
+STORAGE_OWNERS = {("operators.py", "TriangleOperator"), ("core.py", "LazySequence")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_kept_cells_are_read_only_by_their_class(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [(top.name, node.lineno) for top in tree.body if hasattr(top, "name")
+             and (path.name, top.name) not in STORAGE_OWNERS
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_memo")]
+    assert not reads, f"{path.name} reads kept cells at {reads}"
 
 
 def test_an_entry_walk_is_caught():

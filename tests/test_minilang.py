@@ -299,6 +299,26 @@ class TestMatrixSpecs:
         assert A.entry(3, 1) == 0  # beyond the explicit rows
         assert any("2 explicit rows" in note for note in spec.notes)
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_csv_cells_past_the_diagonal_or_the_row_read_zero(self, tmp_path, mode):
+        # cells above the diagonal, past a short row and past the last row
+        # read 0; a float cell is its exact cell rounded
+        path = tmp_path / "m.csv"
+        path.write_text("2,5,7\n1/2\n1/3,-1/3,1/10,9\n")
+        A = parse_matrix_spec(f"csv:{path}").operator
+        if mode == "float":
+            A = A.as_float()
+        cells = {(1, 1): Fraction(2), (2, 1): Fraction(1, 2), (3, 1): Fraction(1, 3),
+                 (3, 2): Fraction(-1, 3), (3, 3): Fraction(1, 10)}
+        for n in range(1, 6):
+            want = [cells.get((n, k), Fraction(0)) for k in range(1, 7)]
+            if mode == "float":
+                want = [float(v) for v in want]
+            got = A.row(n, 6)
+            assert repr(got) == repr(want), n
+            assert repr([A.entry(n, k) for k in range(1, 7)]) == repr(want), n
+            assert repr(A.row(n, 6, 3)) == repr(want[2:]), n
+
     def test_csv_errors(self, tmp_path):
         with pytest.raises(SpecParseError):
             parse_matrix_spec(f"csv:{tmp_path / 'missing.csv'}")
