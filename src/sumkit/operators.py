@@ -28,7 +28,8 @@ from .core import LazySequence, Scalar, as_fraction, checked_float, ones, runnin
 from .errors import InvalidWeightError, SingularTriangleError, UnsupportedRowError
 
 # the scalar an integer-ratio row builder makes of p/q: Fraction(p, q) in
-# exact mode, p / q in float mode
+# exact mode, p / q in float mode (a Riesz row of unit numerators rounds a
+# reciprocal to odd instead; its entries are the same floats)
 Ratio = Callable[[int, int], Scalar]
 
 
@@ -536,25 +537,37 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
 
     Requires strictly positive t_k; checked lazily on access.  Row n takes
     the total T_n = A/B first, which checks t_1..t_n in order.  Over exact
-    t_k = a_k/b_k the float entry is the integer ratio a_k B / (b_k A), one
-    correctly rounded division per entry that never builds the exact row;
-    a_k and b_k are kept in two int lists as the total checks t_k, so t_k
-    is read once whatever rows are built.  The exact entry is the quotient
-    t_k / T_n, which cancels through the gcds of the small a_k, b_k with
-    A, B where ``Fraction(a_k B, b_k A)`` would take a gcd of two row-sized
-    integers.  Float weights are divided by the float total.
+    t_k = a_k/b_k the float entry is the correctly rounded a_k B / (b_k A),
+    and the exact row is never built; a_k and b_k are kept in two int lists
+    as the total checks t_k, so t_k is read once whatever rows are built.
+    When a_1 = ... = a_n = 1 the row makes one big-int division,
+    B 2^sh = M A + r0, and entry k is ``float(M // b_k | 1) * 2.0 ** -sh``:
+    M // b_k | 1 is the scaled entry rounded to odd on at least 60 bits, so
+    ``float()`` rounds it to nearest as the exact entry would (Boldo &
+    Melquiond, IEEE Trans. Computers 57(4), 2008), and M has only about 60
+    bits more than the largest b_k.  The row divides entry by entry when a
+    numerator is above 1, when r0 = 0 (a scaled entry may be an integer) or
+    when sh > 1022 (an entry may leave the normal range).  The exact entry
+    is the quotient t_k / T_n, which cancels through the gcds of the small
+    a_k, b_k with A, B where ``Fraction(a_k B, b_k A)`` would take a gcd of
+    two row-sized integers.  Float weights are divided by the float total.
     """
-    # a_k and b_k of each exact t_k = a_k/b_k the total has checked
+    # a_k and b_k of each exact t_k = a_k/b_k the total has checked, and
+    # how many of the first t_k have a_k = 1
     nums: list[int] = []
     dens: list[int] = []
+    unit = 0
 
     def positive(k: int) -> Scalar:
+        nonlocal unit
         tk = t.at(k)
         if tk <= 0:
             raise InvalidWeightError("t", k, "must be positive for a Riesz matrix")
         if t.exact:
             nums.append(tk.numerator)
             dens.append(tk.denominator)
+            if unit == k - 1 and tk.numerator == 1:
+                unit = k
         return tk
 
     total = running_sums(positive, t.zero())
@@ -564,7 +577,20 @@ def riesz_matrix(t: LazySequence) -> TriangleOperator:
         if not t.exact or ratio is Fraction:
             return [t.at(k) / tot for k in range(1, n + 1)]
         num, den = tot.numerator, tot.denominator
-        return [ratio(a * den, b * num) for a, b in zip(nums[:n], dens[:n])]
+        bs = dens[:n]
+        if unit >= n:
+            # entry k times 2^sh is (M + r0/num) / b_k: above 2^59 by the
+            # choice of sh, and when r0 != 0 strictly between M // b_k and
+            # the next integer, as M % b_k + r0/num < b_k.  Every entry then
+            # lies in (2^(59 - sh), 1], so sh <= 1022 keeps it normal and
+            # the scaling exact
+            sh = 60 + max(bs).bit_length() + num.bit_length() - den.bit_length()
+            if sh <= 1022:
+                M, r0 = divmod(den << sh, num)
+                if r0:
+                    scale = 2.0 ** -sh
+                    return [float(M // b | 1) * scale for b in bs]
+        return [ratio(a * den, b * num) for a, b in zip(nums[:n], bs)]
 
     # alpha_n checks t_1..t_n before a recurrence reads any term
     mean = MeanRows(lambda n: 1 / total(n), t.at) if t.exact else None

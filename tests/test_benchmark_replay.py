@@ -1,14 +1,14 @@
 """Replay of the benchmark's exact ``transform``/``inverse --matrix`` and
-exact ``dual-check`` reports.
+exact ``dual-check`` reports, and of its float Riesz class-check.
 
 The benchmark (``perfbench/``) checks every report of seeds 1 and 2
 against the exit code and sha256 it recorded in
 ``perfbench/expected_digests.json``, but only when the benchmark runs.
-This test reads the exact-values invocation list from
-``perfbench/workloads.py`` and the recorded digests, both unchanged, and
-replays every ``transform``/``inverse --matrix`` invocation and the exact
-``dual-check`` of those seeds through ``run_cli``, so a digest that drifts
-on either path fails here too.
+This test reads the invocation lists from ``perfbench/workloads.py`` and
+the recorded digests, both unchanged, and replays through ``run_cli``
+every exact-values ``transform``/``inverse --matrix`` invocation and exact
+``dual-check``, and the deep-float ``riesz:`` class-check, of those seeds,
+so a digest that drifts on any of these paths fails here too.
 """
 
 import hashlib
@@ -31,7 +31,7 @@ def load_workloads():
 
 
 WORKLOADS = load_workloads()
-EXPECTED = json.loads((PERFBENCH / "expected_digests.json").read_text())["exact-values"]
+EXPECTED = json.loads((PERFBENCH / "expected_digests.json").read_text())
 
 
 def _replayed(argv: list) -> bool:
@@ -41,18 +41,23 @@ def _replayed(argv: list) -> bool:
             and argv[argv.index("--mode") + 1] == "exact")
 
 
-def replay_cases(seed: int) -> list:
-    """(index, argv, recorded digest) of every ``transform``/``inverse
-    --matrix`` invocation and every exact ``dual-check`` of the seed,
-    indexed as the benchmark records."""
-    invocations = WORKLOADS.exact_values(seed)
-    recorded = EXPECTED[str(seed)]
+def _float_riesz(argv: list) -> bool:
+    return "--matrix" in argv and argv[argv.index("--matrix") + 1].startswith("riesz:")
+
+
+def replay_cases(seed: int, workload: str = "exact-values", replayed=_replayed) -> list:
+    """(index, argv, recorded digest) of every invocation of the workload's
+    seed that ``replayed`` picks, indexed as the benchmark records."""
+    invocations = WORKLOADS.WORKLOADS[workload](seed)
+    recorded = EXPECTED[workload][str(seed)]
     assert len(recorded) == len(invocations)
     return [(i, argv, recorded[i]) for i, (argv, _) in enumerate(invocations)
-            if _replayed(argv)]
+            if replayed(argv)]
 
 
 CASES = [(seed, *case) for seed in (1, 2) for case in replay_cases(seed)]
+RIESZ_CASES = [(seed, *case) for seed in (1, 2)
+               for case in replay_cases(seed, "deep-float", _float_riesz)]
 
 
 def test_the_replay_covers_both_directions():
@@ -67,8 +72,14 @@ def test_the_replay_covers_the_exact_beta_statistic():
     assert kinds == ["beta", "beta"]
 
 
-@pytest.mark.parametrize("seed, index, argv, recorded", CASES,
-                         ids=[f"seed{seed}-{index}" for seed, index, _, _ in CASES])
+def test_the_replay_covers_the_deep_float_riesz_rows():
+    assert [argv[argv.index("--matrix") + 1] for _, _, argv, _ in RIESZ_CASES] \
+        == ["riesz:harmonic", "riesz:harmonic"]
+
+
+@pytest.mark.parametrize("seed, index, argv, recorded", CASES + RIESZ_CASES,
+                         ids=[f"seed{seed}-{index}" for seed, index, _, _ in CASES]
+                         + [f"deep-float-seed{seed}-{index}" for seed, index, _, _ in RIESZ_CASES])
 def test_report_matches_the_benchmark_digest(seed, index, argv, recorded):
     code, text = run_cli(*argv)
     assert [code, hashlib.sha256(text.encode()).hexdigest()] == recorded

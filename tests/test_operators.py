@@ -787,8 +787,10 @@ def _rounded(divide):
 
 class TestIntegerRatioRows:
     """The rational classical matrices build each row from integer ratios:
-    ``Fraction(p, q)`` in exact mode, one ``p / q`` per entry in float mode.
-    A float row must be bit-identical to rounding the exact row."""
+    ``Fraction(p, q)`` in exact mode, one ``p / q`` per entry in float mode,
+    or, for a Riesz row whose numerators are all 1, one reciprocal per row
+    rounded to odd.  A float row must be bit-identical to rounding the exact
+    row."""
 
     FAMILIES = {
         **{f"riesz:{w}": (lambda w=w: riesz_matrix(parse_weight_spec(w)[0]))
@@ -809,6 +811,51 @@ class TestIntegerRatioRows:
             got = F.row(n, n)
             assert all(type(v) is float for v in got), n
             assert list(map(repr, got)) == want, n
+
+    # weights whose rows take the reciprocal, and the three ways a row falls
+    # back to one division per entry: a numerator above 1, r0 == 0 (ones at
+    # n = 2^j) and a shift past 1022 (the subnormal tail of geometric:1/2).
+    # Row 2 of 1/(3 2^53 - 1), 1/(2^53 + 1) is (2^53 + 1, 3 2^53 - 1) / 2^55:
+    # its first entry is halfway between two floats, an integer times 2^-sh
+    # that rounds to even only by division
+    RIESZ_WEIGHTS = {
+        "harmonic": "reciprocal", "power:-1": "reciprocal", "power:-3": "reciprocal",
+        "1/3,1/7": "reciprocal", "geometric:1/2": "shift", "ones": "exact quotient",
+        "1/27021597764222975,1/9007199254740993": "exact quotient",
+        "geometric:2/3": "numerator", "power:1": "numerator",
+        "3,1/2,4,1,5/3": "numerator",
+    }
+
+    @staticmethod
+    def _riesz_paths(t, sizes):
+        """The path the float Riesz row over exact t takes at each size: the
+        reciprocal, or why it divides entry by entry."""
+        total, terms, paths = Fraction(0), [], []
+        for n in sizes:
+            while len(terms) < n:
+                terms.append(t.at(len(terms) + 1))
+                total += terms[-1]
+            if any(v.numerator != 1 for v in terms):
+                paths.append("numerator")
+                continue
+            num, den = total.numerator, total.denominator
+            sh = (60 + max(v.denominator for v in terms).bit_length()
+                  + num.bit_length() - den.bit_length())
+            paths.append("shift" if sh > 1022
+                         else "exact quotient" if (den << sh) % num == 0
+                         else "reciprocal")
+        return paths
+
+    @pytest.mark.parametrize("weights, path", RIESZ_WEIGHTS.items())
+    def test_float_riesz_rows_are_the_rounded_exact_rows(self, weights, path):
+        t = parse_weight_spec(weights)[0]
+        M = riesz_matrix(t)
+        F = M.as_float()
+        sizes = [*range(1, 65), 700, 1030, 2048]
+        for n in sizes:
+            want = [repr(float(v)) for v in M.row(n, n)]
+            assert list(map(repr, F.row(n, n))) == want, n
+        assert path in self._riesz_paths(t, sizes)
 
     def test_unreduced_division_rounds_like_the_fraction(self):
         rng = random.Random(73)
